@@ -225,7 +225,7 @@ class KVExchangeCoordinator:
     def _finish_move(self, group: ServingGroup, request: Request, _transfer: Optional[Transfer]) -> None:
         if not request.finished:
             request.state = RequestState.RUNNING
-            request.stall_until = min(request.stall_until, self.loop.now)
+            group.scheduler.set_stall(request, min(request.stall_until, self.loop.now))
         remaining = self._inflight.get(group.group_id, 0) - 1
         if remaining <= 0:
             self._inflight.pop(group.group_id, None)

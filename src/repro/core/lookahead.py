@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.core.cost_model import BatchCostModel
-from repro.engine.batch import MicroBatch, ScheduledChunk
+from repro.engine.batch import MicroBatch, ScheduledChunk, Work, as_iteration_batch
 from repro.engine.group import MicrobatchFormer
 
 
@@ -150,12 +150,13 @@ def make_lookahead_former(
     per-microbatch weight reloads dominate), floored at ``min_tokens_floor``.
     """
 
-    def former(chunks: List[ScheduledChunk], num_stages: int) -> List[MicroBatch]:
-        if not chunks:
+    def former(work: Work, num_stages: int) -> List[MicroBatch]:
+        batch = as_iteration_batch(work)
+        if batch.empty:
             return []
         target_microbatches = max(2, num_stages * microbatches_per_stage)
-        prefill_chunks = [chunk for chunk in chunks if not chunk.is_decode]
-        decode_chunks = [chunk for chunk in chunks if chunk.is_decode]
+        prefill_chunks = batch.prefill
+        num_decodes = batch.num_decode_chunks
 
         if prefill_chunks:
             total_tokens = sum(chunk.new_tokens for chunk in prefill_chunks)
@@ -170,17 +171,17 @@ def make_lookahead_former(
             microbatches = []
 
         if not microbatches:
-            microbatches = [MicroBatch() for _ in range(min(target_microbatches, max(1, len(decode_chunks))))]
+            microbatches = [MicroBatch() for _ in range(min(target_microbatches, max(1, num_decodes)))]
 
-        # Decode chunks are homogeneous (one token each); spreading them
-        # evenly keeps every microbatch's decode work identical so the
-        # cost-balanced prefill split fully determines the balance.  The
-        # chunk lists are appended to directly: this round-robin runs once
-        # per running request per iteration.
+        # Decode slots are homogeneous (one token each); dealing them
+        # round-robin keeps every microbatch's decode work identical so the
+        # cost-balanced prefill split fully determines the balance.
+        # Microbatch ``i`` takes the strided slice ``i::M`` of the
+        # iteration's slots: no per-decode work here or in the latency model.
         num_microbatches = len(microbatches)
-        chunk_lists = [microbatch.chunks for microbatch in microbatches]
-        for index, chunk in enumerate(decode_chunks):
-            chunk_lists[index % num_microbatches].append(chunk)
-        return [microbatch for microbatch in microbatches if microbatch.chunks]
+        for index, microbatch in enumerate(microbatches[:num_decodes]):
+            microbatch.decodes = batch.decodes
+            microbatch.decode_part = slice(index, None, num_microbatches)
+        return [microbatch for microbatch in microbatches if not microbatch.empty]
 
     return former

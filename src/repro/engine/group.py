@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.network import NetworkFabric, Transfer, TransferPriority
-from repro.engine.batch import IterationBatch, MicroBatch, ScheduledChunk
+from repro.engine.batch import IterationBatch, MicroBatch
 from repro.engine.chunked_prefill import split_into_n_microbatches
 from repro.engine.instance import ServingInstance
 from repro.engine.metrics import MetricsCollector
@@ -37,9 +37,9 @@ from repro.models.memory import kv_bytes_per_token
 from repro.models.spec import ModelSpec
 from repro.simulation.event_loop import Event, EventLoop
 
-#: Type of the pluggable microbatch-formation function: takes the chunks of
-#: an iteration and the number of pipeline stages, returns microbatches.
-MicrobatchFormer = Callable[[List[ScheduledChunk], int], List[MicroBatch]]
+#: Type of the pluggable microbatch-formation function: takes an iteration's
+#: batch and the number of pipeline stages, returns microbatches.
+MicrobatchFormer = Callable[[IterationBatch, int], List[MicroBatch]]
 
 
 class ServingGroup:
@@ -209,11 +209,7 @@ class ServingGroup:
     def adopt_waiting(self, request: Request, *, front: bool = False) -> None:
         """Adopt a queued request from another group."""
         request.owner_group = self.group_id
-        request.state = RequestState.QUEUED
-        if front:
-            self.scheduler.waiting.appendleft(request)
-        else:
-            self.scheduler.add_request(request)
+        self.scheduler.add_request(request, front=front)
         self.kick()
 
     # ------------------------------------------------------------------
@@ -233,7 +229,8 @@ class ServingGroup:
         Any in-flight iteration is abandoned: its requests are about to be
         re-owned by another group, so letting the stale completion run would
         double-apply their progress.  The lost iteration models the (small)
-        disruption of reconfiguring the cluster mid-flight.
+        disruption of reconfiguring the cluster mid-flight: its KV growth
+        stays, its tokens are never emitted.
         """
         self.active = False
         if self._pending_kick is not None:
@@ -242,6 +239,7 @@ class ServingGroup:
         if self._inflight_completion is not None:
             self._inflight_completion.cancel()
             self._inflight_completion = None
+            self.scheduler.abandon_inflight()
         self._busy = False
 
     def _run_iteration(self) -> None:
@@ -275,15 +273,14 @@ class ServingGroup:
 
     def _execute(self, batch: IterationBatch) -> Tuple[float, float]:
         """Compute the iteration's duration and bubble fraction."""
-        # The chunk list is handed to the latency model without copying:
-        # neither path mutates it, and the copy showed up per iteration.
-        chunks = batch.chunks
+        # The batch goes to the latency model as is: decode slots are costed
+        # from their aggregates, never as per-request chunks.
         if self.num_stages == 1:
             instance = self.instances[0]
-            duration = instance.latency.batch_time(chunks, num_layers=len(self._assignment[0]))
+            duration = instance.latency.batch_time(batch, num_layers=len(self._assignment[0]))
             return duration, 0.0
 
-        microbatches = self.microbatch_former(chunks, self.num_stages)
+        microbatches = self.microbatch_former(batch, self.num_stages)
         if not microbatches:
             return 0.0, 0.0
         stage_times: List[List[float]] = []
@@ -306,7 +303,6 @@ class ServingGroup:
             for inst in self.instances
         )
         for microbatch in microbatches:
-            mb_chunks = microbatch.chunks
             row = []
             mb_tokens = -1
             if uniform_stages:
@@ -316,7 +312,7 @@ class ServingGroup:
                     duration = stage_memo.get(key)
                     if duration is None:
                         without_head, with_head, mb_tokens = lat0.batch_time_pair(
-                            mb_chunks, num_layers=key[0]
+                            microbatch, num_layers=key[0]
                         )
                         stage_memo[(key[0], False)] = without_head
                         stage_memo[(key[0], True)] = with_head
@@ -326,7 +322,7 @@ class ServingGroup:
                 for stage, instance in enumerate(self.instances):
                     row.append(
                         instance.latency.batch_time(
-                            mb_chunks,
+                            microbatch,
                             num_layers=max(1, len(self._assignment[stage])),
                             include_lm_head=(stage == last_stage),
                         )
@@ -408,7 +404,7 @@ class ServingGroup:
     # ------------------------------------------------------------------
     def stall_request(self, request: Request, until: float) -> None:
         """Block ``request`` from being scheduled before ``until``."""
-        request.stall_until = max(request.stall_until, until)
+        self.scheduler.set_stall(request, max(request.stall_until, until))
 
     # ------------------------------------------------------------------
     # Swap mechanism (InferCept baseline)
@@ -450,7 +446,7 @@ class ServingGroup:
         self.stall_request(request, self.loop.now + eta)
 
     def _finish_swap_in(self, request: Request, _transfer: Transfer) -> None:
-        request.stall_until = min(request.stall_until, self.loop.now)
+        self.scheduler.set_stall(request, min(request.stall_until, self.loop.now))
         self.kick()
 
     # ------------------------------------------------------------------
@@ -461,7 +457,7 @@ class ServingGroup:
 
         Returns False when the destination cannot hold the request's KV.
         """
-        tokens = self.kv.tokens_of(request.request_id)
+        tokens = self.scheduler.kv_tokens(request)
         if tokens == 0:
             tokens = request.context_tokens
         if not destination.kv.can_allocate(request.request_id, tokens):
@@ -502,7 +498,7 @@ class ServingGroup:
             self.tracer.on_migration_end(request)
         if not request.finished:
             request.state = RequestState.RUNNING
-            request.stall_until = min(request.stall_until, self.loop.now)
+            destination.scheduler.set_stall(request, min(request.stall_until, self.loop.now))
         destination.kick()
 
     # ------------------------------------------------------------------

@@ -14,15 +14,21 @@ The model is a classic roofline:
 
 Weight bytes are counted once per microbatch (requests in a batch share the
 parameter loads — the effect the ``-(|b_k|-1)γ`` term of Eq. 3 models).
+
+Decode slots enter in aggregate: a decode processes one token, so its terms
+are affine in its prefix and a microbatch's decode part needs only the slot
+count and the prefix sum.  Every term is an integer-valued float far below
+2**53 (see ``tests/test_decode_cohort.py``), so the aggregate sums are
+exact and equal the chunk-by-chunk sums bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import List, Optional, Tuple
 
 from repro.cluster.gpu import GPUSpec
-from repro.engine.batch import ScheduledChunk
+from repro.engine.batch import MicroBatch, ScheduledChunk, Work
 from repro.engine.tensor_parallel import tp_layer_comm_time
 from repro.models.memory import kv_bytes_per_token_per_layer, param_bytes_per_layer
 from repro.models.spec import ModelSpec
@@ -44,6 +50,14 @@ class LatencyModelConfig:
     per_chunk_overhead_s: float = 0.00005
     per_layer_overhead_s: float = 1.5e-5
     jitter_fraction: float = 0.0
+
+
+def _work_shape(work: Work) -> Tuple[List[ScheduledChunk], int, int]:
+    """``(prefill chunks, decode slots, decode prefix sum)`` of ``work``."""
+    if not isinstance(work, MicroBatch):
+        work = MicroBatch(work)
+    decodes, decode_prefix = work.decode_totals()
+    return work.prefill, decodes, decode_prefix
 
 
 class LatencyModel:
@@ -116,7 +130,7 @@ class LatencyModel:
     # ------------------------------------------------------------------
     def batch_time(
         self,
-        chunks: Iterable[ScheduledChunk],
+        work: Work,
         num_layers: Optional[int] = None,
         *,
         include_lm_head: bool = True,
@@ -126,79 +140,40 @@ class LatencyModel:
         ``num_layers`` defaults to the full model (non-pipelined execution);
         pipeline stages pass their own layer count.
         """
-        chunk_list = chunks if type(chunks) is list else list(chunks)
+        prefill, decodes, decode_prefix = _work_shape(work)
         if num_layers is None:
             num_layers = self.model.num_layers
         if num_layers <= 0:
             raise ValueError("num_layers must be positive")
-        if not chunk_list:
+        if not prefill and not decodes:
             return 0.0
 
-        # Decode prefixes grow every iteration, so a batch that leads with a
-        # decode chunk (form_batch schedules decodes first) essentially never
-        # repeats its shape — for those, building and probing the memo key is
-        # pure overhead.  Pure-prefill batches (admission bursts, profiling
-        # sweeps, cost-model calibration) do repeat and keep the memo.
+        # Decode prefixes grow every iteration, so a batch with decode slots
+        # essentially never repeats its shape — for those, building and
+        # probing the memo key is pure overhead.  Pure-prefill batches
+        # (admission bursts, profiling sweeps, cost-model calibration) do
+        # repeat and keep the memo.
         cache_key = None
-        if (self._rng is None or self.config.jitter_fraction <= 0) and not chunk_list[0].is_decode:
+        if (self._rng is None or self.config.jitter_fraction <= 0) and not decodes:
             cache_key = (
                 num_layers,
                 include_lm_head,
-                tuple((c.prefix_tokens, c.new_tokens) for c in chunk_list),
+                tuple((c.prefix_tokens, c.new_tokens) for c in prefill),
             )
             cached = self._batch_time_cache.get(cache_key)
             if cached is not None:
                 return cached
 
-        # Aggregate the per-chunk roofline terms in one pass with hoisted
-        # attribute lookups; this loop runs once per scheduled chunk for the
-        # whole simulation, so helper-call overhead is measurable.  The
-        # expressions mirror chunk_compute_flops / chunk_kv_read_bytes /
-        # chunk_kv_write_bytes term for term so results are bit-identical.
-        flops_per_token_layer = self._flops_per_token_layer
-        kv_bytes_token_layer = self._kv_bytes_per_token_layer
-        q_dim = self.model.q_dim
-        total_flops = 0.0
-        total_bytes = 0.0
-        total_tokens = 0
-        for chunk in chunk_list:
-            new_tokens = chunk.new_tokens
-            prefix = chunk.prefix_tokens
-            linear = new_tokens * flops_per_token_layer * num_layers
-            attended = prefix + (new_tokens + 1) / 2.0
-            attn = 4.0 * new_tokens * attended * q_dim * num_layers
-            total_flops += linear + attn
-            total_bytes += (prefix + new_tokens) * kv_bytes_token_layer * num_layers
-            total_bytes += new_tokens * kv_bytes_token_layer * num_layers
-            total_tokens += new_tokens
-
-        # Weights are streamed once per microbatch, shared by all chunks.
-        total_bytes += self._layer_param_bytes * num_layers
-        # Activations read/written per token per layer (two residual streams).
-        total_bytes += (
-            4.0 * total_tokens * self.model.hidden_size * self.model.dtype_bytes * num_layers
+        total_flops, total_bytes, total_tokens = self._roofline_sums(
+            prefill, decodes, decode_prefix, num_layers
         )
         if include_lm_head:
             total_flops += 2.0 * total_tokens * self.model.vocab_size * self.model.hidden_size
 
         compute_time = total_flops / self.effective_flops
         memory_time = total_bytes / self.effective_bandwidth
-        comm_time = tp_layer_comm_time(
-            total_tokens,
-            self.model.hidden_size,
-            self.model.dtype_bytes,
-            self.gpu.nvlink_bandwidth,
-            self.tp_degree,
-        ) * num_layers
-
-        # Fixed overheads (scheduling, sampling, kernel launches) scale with
-        # the fraction of the model executed, so a pipeline stage holding
-        # half the layers pays roughly half the per-iteration overhead.
-        layer_fraction = num_layers / self.model.num_layers
-        overhead = (
-            self.config.iteration_overhead_s * layer_fraction
-            + self.config.per_chunk_overhead_s * len(chunk_list) * layer_fraction
-            + self.config.per_layer_overhead_s * num_layers
+        comm_time, overhead = self._comm_and_overhead(
+            total_tokens, len(prefill) + decodes, num_layers
         )
         duration = max(compute_time, memory_time) + comm_time + overhead
         if cache_key is not None:
@@ -209,36 +184,65 @@ class LatencyModel:
 
     def batch_time_pair(
         self,
-        chunks: Iterable[ScheduledChunk],
+        work: Work,
         num_layers: Optional[int] = None,
     ) -> "tuple[float, float, int]":
         """``(batch_time(lm_head=False), batch_time(lm_head=True), tokens)``.
 
         Pipeline stages holding the same layer count differ only by the
-        lm-head flag, and the lm-head FLOPs are added *after* the per-chunk
-        aggregation loop — so both durations come from one pass over the
-        chunks with bit-identical arithmetic to two separate calls.  The
-        batch's total new-token count falls out of the same pass and is
-        returned so callers sizing activation transfers do not re-sum.
-        Callers must not use this when jitter is active: it draws the two
-        jitter samples in a fixed order regardless of how many stages
-        consume them.
+        lm-head flag, and the lm-head FLOPs are added *after* the roofline
+        sums — so both durations come from one aggregation with
+        bit-identical arithmetic to two separate calls.  The batch's total
+        new-token count falls out of the same aggregation and is returned so
+        callers sizing activation transfers do not re-sum.  Callers must
+        not use this when jitter is active: it draws the two jitter samples
+        in a fixed order regardless of how many stages consume them.
         """
-        chunk_list = chunks if type(chunks) is list else list(chunks)
+        prefill, decodes, decode_prefix = _work_shape(work)
         if num_layers is None:
             num_layers = self.model.num_layers
         if num_layers <= 0:
             raise ValueError("num_layers must be positive")
-        if not chunk_list:
+        if not prefill and not decodes:
             return 0.0, 0.0, 0
 
+        total_flops, total_bytes, total_tokens = self._roofline_sums(
+            prefill, decodes, decode_prefix, num_layers
+        )
+        lm_head_flops = total_flops + 2.0 * total_tokens * self.model.vocab_size * self.model.hidden_size
+
+        effective_flops = self.effective_flops
+        memory_time = total_bytes / self.effective_bandwidth
+        comm_time, overhead = self._comm_and_overhead(
+            total_tokens, len(prefill) + decodes, num_layers
+        )
+        without_head = max(total_flops / effective_flops, memory_time) + comm_time + overhead
+        with_head = max(lm_head_flops / effective_flops, memory_time) + comm_time + overhead
+        return self._jitter(without_head), self._jitter(with_head), total_tokens
+
+    def _roofline_sums(
+        self,
+        prefill: List[ScheduledChunk],
+        decodes: int,
+        decode_prefix: int,
+        num_layers: int,
+    ) -> Tuple[float, float, int]:
+        """``(FLOPs, bytes, new tokens)`` of a microbatch, weights included.
+
+        Prefill chunks are summed one by one with the expressions of
+        chunk_compute_flops / chunk_kv_read_bytes / chunk_kv_write_bytes.
+        A decode slot is the same expressions at ``new_tokens == 1``:
+        linear ``F·L``, attention ``4·(prefix + 1)·q·L``, KV bytes
+        ``(prefix + 2)·kv·L`` — so the decode part is those terms summed in
+        closed form over the slots.
+        """
         flops_per_token_layer = self._flops_per_token_layer
         kv_bytes_token_layer = self._kv_bytes_per_token_layer
         q_dim = self.model.q_dim
         total_flops = 0.0
         total_bytes = 0.0
         total_tokens = 0
-        for chunk in chunk_list:
+        for chunk in prefill:
             new_tokens = chunk.new_tokens
             prefix = chunk.prefix_tokens
             linear = new_tokens * flops_per_token_layer * num_layers
@@ -248,15 +252,24 @@ class LatencyModel:
             total_bytes += (prefix + new_tokens) * kv_bytes_token_layer * num_layers
             total_bytes += new_tokens * kv_bytes_token_layer * num_layers
             total_tokens += new_tokens
+        if decodes:
+            total_flops += decodes * flops_per_token_layer * num_layers
+            total_flops += 4.0 * (decode_prefix + decodes) * q_dim * num_layers
+            total_bytes += (decode_prefix + 2 * decodes) * kv_bytes_token_layer * num_layers
+            total_tokens += decodes
 
+        # Weights are streamed once per microbatch, shared by all chunks.
         total_bytes += self._layer_param_bytes * num_layers
+        # Activations read/written per token per layer (two residual streams).
         total_bytes += (
             4.0 * total_tokens * self.model.hidden_size * self.model.dtype_bytes * num_layers
         )
-        lm_head_flops = total_flops + 2.0 * total_tokens * self.model.vocab_size * self.model.hidden_size
+        return total_flops, total_bytes, total_tokens
 
-        effective_flops = self.effective_flops
-        memory_time = total_bytes / self.effective_bandwidth
+    def _comm_and_overhead(
+        self, total_tokens: int, num_chunks: int, num_layers: int
+    ) -> Tuple[float, float]:
+        """``(TP all-reduce time, fixed per-iteration overheads)``."""
         comm_time = tp_layer_comm_time(
             total_tokens,
             self.model.hidden_size,
@@ -264,15 +277,16 @@ class LatencyModel:
             self.gpu.nvlink_bandwidth,
             self.tp_degree,
         ) * num_layers
+        # Fixed overheads (scheduling, sampling, kernel launches) scale with
+        # the fraction of the model executed, so a pipeline stage holding
+        # half the layers pays roughly half the per-iteration overhead.
         layer_fraction = num_layers / self.model.num_layers
         overhead = (
             self.config.iteration_overhead_s * layer_fraction
-            + self.config.per_chunk_overhead_s * len(chunk_list) * layer_fraction
+            + self.config.per_chunk_overhead_s * num_chunks * layer_fraction
             + self.config.per_layer_overhead_s * num_layers
         )
-        without_head = max(total_flops / effective_flops, memory_time) + comm_time + overhead
-        with_head = max(lm_head_flops / effective_flops, memory_time) + comm_time + overhead
-        return self._jitter(without_head), self._jitter(with_head), total_tokens
+        return comm_time, overhead
 
     def prefill_time(self, prompt_tokens: int, *, prefix_tokens: int = 0) -> float:
         """Convenience: full-model time of a single prefill chunk."""

@@ -10,7 +10,10 @@ another instance) or ``EXCHANGING`` (KV being redistributed after a
 parameter drop).
 
 The request also records every token emission time so TTFT / TPOT metrics
-can be computed exactly as the paper defines them.
+can be computed exactly as the paper defines them.  Times are not stored
+per token: a serving group logs each iteration's end time once, and a
+request keeps only ``(log, first, stop)`` segments of the iterations that
+emitted its tokens, from which :attr:`Request.token_times` is rebuilt.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
+from operator import sub
 from typing import List, Optional
 
 _request_counter = itertools.count()
@@ -73,7 +77,6 @@ class Request:
     #: ``prompt_tokens`` initially and grows when a preemption forces the
     #: request to recompute the KV of already-generated tokens.
     prefill_target: int = 0
-    output_tokens: int = 0
     #: simulation time before which the request must not be scheduled
     #: (KV exchange / swap-in / migration in flight).
     stall_until: float = 0.0
@@ -90,7 +93,19 @@ class Request:
     first_scheduled_time: Optional[float] = None
     first_token_time: Optional[float] = None
     finish_time: Optional[float] = None
-    token_times: List[float] = field(default_factory=list)
+
+    # --- token log (see ``token_times``) ----------------------------------
+    #: output tokens not covered by the open segment.
+    _output_base: int = field(default=0, init=False, repr=False)
+    #: closed ``(log, first, stop)`` segments: the tokens were emitted at
+    #: ``log[first:stop]``, in segment order.
+    _segments: list = field(default_factory=list, init=False, repr=False)
+    #: the open segment while the request is in a decode cohort: it emits
+    #: one token per completed iteration ``log[_open_first:]``.
+    _open_log: Optional[list] = field(default=None, init=False, repr=False)
+    _open_first: int = field(default=0, init=False, repr=False)
+    #: the scheduler whose queues currently hold the request.
+    _home: Optional[object] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.request_id < 0:
@@ -107,6 +122,26 @@ class Request:
     # ------------------------------------------------------------------
     # Progress queries
     # ------------------------------------------------------------------
+    @property
+    def output_tokens(self) -> int:
+        """Output tokens generated so far (always current, even mid-cohort)."""
+        if self._open_log is None:
+            return self._output_base
+        return self._output_base + len(self._open_log) - self._open_first
+
+    @property
+    def token_times(self) -> List[float]:
+        """Emission time of every output token, rebuilt from the segments.
+
+        A fresh list on every call: appending to it changes nothing.
+        """
+        times: List[float] = []
+        for log, first, stop in self._segments:
+            times += log[first:stop]
+        if self._open_log is not None:
+            times += self._open_log[self._open_first:]
+        return times
+
     @property
     def prefill_done(self) -> bool:
         return self.prefill_progress >= self.prefill_target
@@ -160,13 +195,44 @@ class Request:
 
     def record_output_token(self, now: float) -> None:
         """Account one generated token emitted at time ``now``."""
-        if self.first_token_time is None:
-            self.first_token_time = now
-        self.output_tokens += 1
-        self.token_times.append(now)
-        if self.output_tokens >= self.max_output_tokens:
+        self.log_token([now], 0)
+
+    def log_token(self, log: list, index: int) -> None:
+        """Account one token emitted at time ``log[index]``.
+
+        The engine passes its group's iteration log, so consecutive tokens
+        extend one segment instead of storing a float each.  Not valid while
+        the request is in a decode cohort (the cohort owns its open segment).
+        """
+        self._add_segment(log, index, index + 1)
+        if self._output_base >= self.max_output_tokens:
             self.state = RequestState.FINISHED
-            self.finish_time = now
+            self.finish_time = log[index]
+
+    def open_segment(self, log: list, first: int) -> None:
+        """Start emitting one token per completed iteration ``log[first:]``."""
+        self._open_log = log
+        self._open_first = first
+
+    def close_segment(self) -> int:
+        """Fold the open segment into the closed ones; returns its length."""
+        log = self._open_log
+        first = self._open_first
+        emitted = len(log) - first
+        self._open_log = None
+        if emitted:
+            self._add_segment(log, first, first + emitted)
+        return emitted
+
+    def _add_segment(self, log: list, first: int, stop: int) -> None:
+        if self.first_token_time is None:
+            self.first_token_time = log[first]
+        segments = self._segments
+        if segments and segments[-1][0] is log and segments[-1][2] == first:
+            segments[-1] = (log, segments[-1][1], stop)
+        else:
+            segments.append((log, first, stop))
+        self._output_base += stop - first
 
     def reset_for_recompute(self) -> None:
         """Drop all progress that depended on the (now discarded) KV cache.
@@ -194,16 +260,7 @@ class Request:
     def tpot_values(self) -> List[float]:
         """Per-output-token latencies after the first token."""
         times = self.token_times
-        if len(times) < 2:
-            return []
-        # Pairwise diff without materialising the two slice copies.
-        it = iter(times)
-        prev = next(it)
-        values = []
-        for t in it:
-            values.append(t - prev)
-            prev = t
-        return values
+        return list(map(sub, times[1:], times))
 
     @property
     def mean_tpot(self) -> Optional[float]:

@@ -10,7 +10,7 @@ dropped parameters to the cache (§4.1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 
 @dataclass(slots=True)
@@ -43,7 +43,9 @@ class PagedKVCache:
         self._tables: Dict[int, BlockTable] = {}
         self._used_blocks = 0
         # Running totals so capacity queries on the scheduling hot path are
-        # O(1) instead of per-request sums.
+        # O(1) instead of per-request sums.  The scheduler's decode cohort
+        # grows them in bulk each iteration and writes its members' tables
+        # only when they leave it (see ``engine.scheduler``).
         self._used_tokens = 0
 
     # ------------------------------------------------------------------
@@ -118,52 +120,6 @@ class PagedKVCache:
     def can_allocate(self, request_id: int, new_tokens: int) -> bool:
         """Would appending ``new_tokens`` tokens to the request succeed?"""
         return self._extra_blocks_needed(request_id, new_tokens) <= self.free_blocks
-
-    def try_allocate(self, request_id: int, new_tokens: int) -> Optional[int]:
-        """Allocate if possible; returns blocks allocated, or None if full.
-
-        Fused check-then-commit used by the per-decode-token scheduling path,
-        where calling :meth:`can_allocate` followed by :meth:`allocate` would
-        compute the block requirement twice.
-        """
-        if new_tokens < 0:
-            raise ValueError("new_tokens must be >= 0")
-        extra = self._extra_blocks_needed(request_id, new_tokens)
-        if extra > self.free_blocks:
-            return None
-        self._commit_allocation(request_id, extra, new_tokens)
-        return extra
-
-    def append_token(self, request_id: int) -> Optional[int]:
-        """Fast path for ``try_allocate(request_id, 1)``.
-
-        One decode step appends exactly one token, and almost always into a
-        block that still has slack — the continuous-batching scheduler calls
-        this once per running request per iteration, making it the hottest
-        allocator entry point by two orders of magnitude.  Returns the number
-        of new blocks (0 or 1), or None when the cache is full, exactly as
-        ``try_allocate`` would.
-        """
-        table = self._tables.get(request_id)
-        if table is None:
-            if self._used_blocks >= self._num_blocks:
-                return None
-            table = BlockTable(request_id=request_id, num_blocks=1, num_tokens=1)
-            self._tables[request_id] = table
-            self._used_blocks += 1
-            self._used_tokens += 1
-            return 1
-        if table.num_tokens < table.num_blocks * self.block_size:
-            table.num_tokens += 1
-            self._used_tokens += 1
-            return 0
-        if self._used_blocks >= self._num_blocks:
-            return None
-        table.num_blocks += 1
-        table.num_tokens += 1
-        self._used_blocks += 1
-        self._used_tokens += 1
-        return 1
 
     def allocate(self, request_id: int, new_tokens: int) -> int:
         """Append ``new_tokens`` tokens to the request's KV cache.
