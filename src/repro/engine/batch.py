@@ -179,11 +179,12 @@ class MicroBatch:
 
     @property
     def num_decode_chunks(self) -> int:
-        if self.decodes is None:
+        decodes = self.decodes
+        if decodes is None:
             return 0
         if self.decode_part is None:
-            return len(self.decodes)
-        return len(range(*self.decode_part.indices(len(self.decodes))))
+            return len(decodes.requests)
+        return len(range(*self.decode_part.indices(len(decodes.requests))))
 
     @property
     def chunks(self) -> List[ScheduledChunk]:
