@@ -41,7 +41,8 @@ exchange, restore, fault handling), stalls (every write to ``stall_until``
 goes through :meth:`ContinuousBatchingScheduler.set_stall`), group
 deactivation (:meth:`abandon_inflight`) and finish.  A member that leaves
 while an iteration it is part of is in flight still gets that iteration's
-token when the iteration completes, wherever the request lives by then.
+token when the iteration completes, wherever the request lives by then,
+unless it has finished in the meantime.
 """
 
 from __future__ import annotations
@@ -713,7 +714,10 @@ class ContinuousBatchingScheduler:
         The cohort's tokens are emitted by logging ``end_time`` once; only
         members finishing in this iteration, requests that left it while it
         was in flight, and prefill chunks are visited.  Finished requests
-        are returned in batch order: decodes (FCFS), then prefills.
+        are returned in batch order: decodes (FCFS), then prefills.  A
+        request that moved to another group mid-iteration and finished there
+        first gets nothing more from this batch; one that finishes here is
+        released by whichever scheduler holds it.
         """
         if batch is not self._inflight:
             raise ValueError("complete_batch expects the batch formed last")
@@ -738,6 +742,9 @@ class ContinuousBatchingScheduler:
         if self._departed:
             departed, self._departed = self._departed, []
             for request in departed:
+                if request.state is finished_state:
+                    # Finished in another group meanwhile: nothing more to emit.
+                    continue
                 home = request._home
                 if home is not None and request.request_id in home._members:
                     # Decoding elsewhere by now: close that segment first so
@@ -753,14 +760,22 @@ class ContinuousBatchingScheduler:
 
         for chunk in batch.prefill:
             request = chunk.request
+            if request.state is finished_state:
+                # Migrated mid-prefill, then finished by the new group's chunk.
+                continue
             request.record_prefill(chunk.new_tokens, end_time)
             if request.output_tokens == 0 and request.prefill_progress >= request.prefill_target:
                 request.log_token(log, iteration)
-            if request.state is finished_state and request not in finished:
+            if request.state is finished_state:
                 finished.append(request)
         for request in finished:
-            self.kv.free(request.request_id)
-            self._remove_running(request)
+            home = request._home
+            if home is self:
+                self.kv.free(request.request_id)
+                self._remove_running(request)
+            else:
+                # It moved on while this iteration ran: release it there.
+                home.remove_request(request)
         return finished
 
     def abandon_inflight(self) -> None:

@@ -130,11 +130,12 @@ def test_golden_digest(key):
 class TokenOracle:
     """Records every token a completed batch emits, from its chunk view.
 
-    A decode chunk emits one token at the iteration's end.  A prefill chunk
-    emits the request's first token when the request has none yet and its
-    prefill is complete after the chunk (a migrated request can have
-    prefill chunks of two groups in flight; whichever lands last completes
-    it).
+    A decode chunk emits one token at the iteration's end, unless the
+    request already has all its tokens (a request that moved to another
+    group mid-iteration can finish there first).  A prefill chunk emits the
+    request's first token when the request has none yet and its prefill is
+    complete after the chunk (a migrated request can have prefill chunks of
+    two groups in flight; whichever lands last completes it).
     """
 
     def __init__(self) -> None:
@@ -145,7 +146,8 @@ class TokenOracle:
             request = chunk.request
             times = self.times[request.request_id]
             if chunk.is_decode:
-                times.append(end_time)
+                if len(times) < request.max_output_tokens:
+                    times.append(end_time)
             elif not times and request.prefill_progress >= request.prefill_target:
                 times.append(end_time)
 
@@ -467,6 +469,55 @@ def test_request_moved_between_groups_mid_iteration(destination_first):
     assert request.output_tokens == 20
     assert destination.scheduler.kv.used_tokens == 0
     assert source.scheduler.kv.used_tokens == 0
+
+
+@pytest.mark.parametrize("destination_first", [False, True])
+def test_request_moved_mid_prefill_finishes_once(destination_first):
+    # Llumnix can migrate a request whose prefill chunk is in flight; the
+    # destination schedules the rest of its prefill from the old progress.
+    oracle = TokenOracle()
+    source = Driver(make_scheduler(token_budget=16), oracle)
+    request = Request(arrival_time=0.0, prompt_tokens=30, max_output_tokens=1)
+    source.scheduler.add_request(request)
+    in_flight = source.form()
+    tokens = source.scheduler.kv_tokens(request)
+    source.scheduler.remove_request(request)
+    destination = Driver(make_scheduler(token_budget=16), oracle)
+    destination.scheduler.add_running(request, tokens)
+    moved = destination.form()
+    if destination_first:
+        assert destination.complete(moved, dt=0.05) == []
+        # The source's chunk completes the prefill: the first token finishes
+        # the request, which is released from the group holding it.
+        assert source.complete(in_flight, dt=0.1) == [request]
+    else:
+        assert source.complete(in_flight, dt=0.05) == []
+        assert destination.complete(moved, dt=0.1) == [request]
+    assert request.finished and request.token_times == [0.1]
+    assert request.token_times == oracle.times[request.request_id]
+    for scheduler in (source.scheduler, destination.scheduler):
+        assert scheduler.num_running == 0 and scheduler.kv.used_tokens == 0
+
+
+def test_request_finished_elsewhere_gets_no_pending_token():
+    oracle = TokenOracle()
+    source = Driver(make_scheduler(), oracle)
+    request = Request(arrival_time=0.0, prompt_tokens=16, max_output_tokens=3)
+    source.scheduler.add_request(request)
+    source.step()
+    source.step()
+    in_flight = source.form()
+    tokens = source.scheduler.kv_tokens(request)
+    source.scheduler.remove_request(request)
+    destination = Driver(make_scheduler(), oracle, now=source.now)
+    destination.scheduler.add_running(request, tokens)
+    # The destination emits the last token before the source's iteration
+    # lands: that iteration's token for the request is dropped.
+    assert destination.complete(destination.form(), dt=0.05) == [request]
+    assert source.complete(in_flight, dt=0.1) == []
+    assert request.output_tokens == 3 and request.finish_time == 0.25
+    assert request.token_times == [0.1, 0.2, 0.25] == oracle.times[request.request_id]
+    assert destination.scheduler.kv.used_tokens == 0
 
 
 # ----------------------------------------------------------------------
