@@ -29,13 +29,14 @@ Two knobs matter:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import shutil
 import tempfile
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.experiments import (
     figure2,
@@ -55,14 +56,15 @@ from repro.experiments.runner import (
     build_system_config,
     make_policies,
 )
-from repro.fleet.sweep import run_fleet_sweep
-from repro.chaos.sweep import run_chaos_sweep
-from repro.multicluster.sweep import run_multicluster_sweep
-from repro.scenarios.sweep import run_sweep
-from repro.serve.sweep import run_serve_sweep
+from repro.chaos.sweep import CHAOS_GRID
+from repro.fleet.sweep import FLEET_GRID
+from repro.multicluster.sweep import MULTICLUSTER_GRID
+from repro.scenarios.sweep import SCENARIO_GRID
+from repro.serve.sweep import SERVE_GRID
 from repro.serving.system import ClusterServingSystem
 from repro.simulation.event_loop import EventLoop
 from repro.sweeps import SweepTask, run_tasks
+from repro.sweeps.grid import Grid
 from repro.version import __version__
 
 #: Scenario used for trajectory tracking: a 2-instance cluster replaying a
@@ -188,103 +190,67 @@ def run_policy_benchmarks(
 # ----------------------------------------------------------------------
 # Experiment benchmarks: each paper figure/table at the requested scale
 # ----------------------------------------------------------------------
-def _scenario_sweep_benchmark(scale: ExperimentScale, seed: int) -> Dict:
-    """A small scenario-grid sweep so its cost is tracked across PRs.
+#: Sweep rows: one small grid per tier, so each sweep's cost is tracked
+#: across PRs.  They run inline (``max_workers=1``) so the event-loop meter
+#: in this process sees the simulated events, and uncached so the rows keep
+#: measuring real execution; the pooled and cached paths are covered by the
+#: tier tests and CLIs.
+SWEEP_ROWS: Tuple[Tuple[Grid, Dict[str, Any]], ...] = (
+    (SCENARIO_GRID, {
+        "scenarios": ("steady-poisson", "spike-train"),
+        "policies": ("vllm", "kunserve"),
+    }),
+    (FLEET_GRID, {
+        "scenarios": ("steady-poisson",),
+        "policies": ("vllm",),
+        "routers": ("least_loaded", "power_of_two_choices"),
+        "autoscalers": ("fixed", "elastic"),
+    }),
+    # Two clusters, the two locality-relevant global routers.
+    (MULTICLUSTER_GRID, {
+        "scenarios": ("steady-poisson",),
+        "policies": ("vllm",),
+        "cluster_counts": (2,),
+        "routers": ("weighted_round_robin", "locality_affinity"),
+        "placements": ("spare_capacity_first",),
+    }),
+    # The outage under both session-migration policies: the cell pair the
+    # chaos acceptance test pins.
+    (CHAOS_GRID, {
+        "scenarios": ("steady-poisson",),
+        "policies": ("vllm",),
+        "faults": ("cluster-outage",),
+        "migrations": ("sticky", "migrate"),
+    }),
+    # The open-loop baseline plus one closed-loop retry+backpressure cell:
+    # the goodput comparison the serve acceptance test pins.
+    (SERVE_GRID, {
+        "scenarios": ("spike-train",),
+        "policies": ("vllm",),
+        "clients": ("open", "16"),
+        "retries": ("backoff",),
+        "backpressures": ("on",),
+    }),
+)
 
-    Runs inline (``max_workers=1``) so the event-loop meter in this process
-    sees the simulated events, and uncached so the row keeps measuring real
-    execution; the parallel and cached paths are covered by
-    ``tests/test_scenarios.py`` and the ``repro.scenarios`` CLI.
-    """
-    return run_sweep(
-        scenarios=("steady-poisson", "spike-train"),
-        policies=("vllm", "kunserve"),
-        scale=dataclasses.replace(scale, name=f"scenarios-{scale.name}"),
+
+def _sweep_benchmark(
+    grid: Grid,
+    axes: Dict[str, Any],
+    scale: ExperimentScale,
+    seed: int,
+    *,
+    prefix: str = "",
+    cache_dir: Optional[Path] = None,
+) -> Dict:
+    """One :data:`SWEEP_ROWS` grid, inline; cached only into ``cache_dir``."""
+    return grid.sweep(
+        scale=dataclasses.replace(scale, name=f"{prefix or grid.name}-{scale.name}"),
         seed=seed,
         max_workers=1,
-    )
-
-
-def _fleet_sweep_benchmark(scale: ExperimentScale, seed: int) -> Dict:
-    """A small fleet-grid sweep so its cost is tracked across PRs.
-
-    Runs inline (``max_workers=1``) so the event-loop meter in this process
-    sees the simulated events, and uncached so the row keeps measuring real
-    execution; the parallel and cached paths are covered by
-    ``tests/test_fleet.py`` and the ``repro.fleet`` CLI.
-    """
-    return run_fleet_sweep(
-        scenarios=("steady-poisson",),
-        policies=("vllm",),
-        routers=("least_loaded", "power_of_two_choices"),
-        autoscalers=("fixed", "elastic"),
-        scale=dataclasses.replace(scale, name=f"fleet-{scale.name}"),
-        seed=seed,
-        max_workers=1,
-    )
-
-
-def _multicluster_sweep_benchmark(scale: ExperimentScale, seed: int) -> Dict:
-    """A small fleet-of-fleets sweep so its cost is tracked across PRs.
-
-    Two clusters, the two locality-relevant global routers, one placement
-    policy.  Runs inline (``max_workers=1``) so the event-loop meter in
-    this process sees the simulated events, and uncached so the row keeps
-    measuring real execution; the parallel and cached paths are covered by
-    ``tests/test_multicluster.py`` and the ``repro.multicluster`` CLI.
-    """
-    return run_multicluster_sweep(
-        scenarios=("steady-poisson",),
-        policies=("vllm",),
-        cluster_counts=(2,),
-        routers=("weighted_round_robin", "locality_affinity"),
-        placements=("spare_capacity_first",),
-        scale=dataclasses.replace(scale, name=f"multicluster-{scale.name}"),
-        seed=seed,
-        max_workers=1,
-    )
-
-
-def _chaos_sweep_benchmark(scale: ExperimentScale, seed: int) -> Dict:
-    """A small chaos sweep so fault-injection cost is tracked across PRs.
-
-    One scenario, the cluster-outage preset, both session-migration
-    policies — the cell pair the chaos acceptance test pins.  Runs inline
-    (``max_workers=1``) so the event-loop meter in this process sees the
-    simulated events, and uncached so the row keeps measuring real
-    execution; the parallel and cached paths are covered by
-    ``tests/test_chaos.py`` and the ``repro.chaos`` CLI.
-    """
-    return run_chaos_sweep(
-        scenarios=("steady-poisson",),
-        policies=("vllm",),
-        faults=("cluster-outage",),
-        migrations=("sticky", "migrate"),
-        scale=dataclasses.replace(scale, name=f"chaos-{scale.name}"),
-        seed=seed,
-        max_workers=1,
-    )
-
-
-def _serve_sweep_benchmark(scale: ExperimentScale, seed: int) -> Dict:
-    """A small online-serving sweep so its cost is tracked across PRs.
-
-    The open-loop baseline plus one closed-loop retry+backpressure cell —
-    the goodput comparison the serve acceptance test pins.  Runs inline
-    (``max_workers=1``) so the event-loop meter in this process sees the
-    simulated events, and uncached so the row keeps measuring real
-    execution; the parallel and cached paths are covered by
-    ``tests/test_serve.py`` and the ``repro.serve`` CLI.
-    """
-    return run_serve_sweep(
-        scenarios=("spike-train",),
-        policies=("vllm",),
-        clients=("open", "16"),
-        retries=("backoff",),
-        backpressures=("on",),
-        scale=dataclasses.replace(scale, name=f"serve-{scale.name}"),
-        seed=seed,
-        max_workers=1,
+        use_cache=cache_dir is not None,
+        cache_dir=cache_dir,
+        **axes,
     )
 
 
@@ -300,27 +266,11 @@ def _sweep_cache_benchmark(scale: ExperimentScale, seed: int) -> Dict[str, float
     cache_dir = Path(tempfile.mkdtemp(prefix="repro-sweep-cache-bench-"))
 
     def sweep_pair() -> int:
-        scenario_doc = run_sweep(
-            scenarios=("steady-poisson", "spike-train"),
-            policies=("vllm", "kunserve"),
-            scale=dataclasses.replace(scale, name=f"sweep-cache-{scale.name}"),
-            seed=seed,
-            max_workers=1,
-            use_cache=True,
-            cache_dir=cache_dir,
-        )
-        fleet_doc = run_fleet_sweep(
-            scenarios=("steady-poisson",),
-            policies=("vllm",),
-            routers=("least_loaded", "power_of_two_choices"),
-            autoscalers=("fixed", "elastic"),
-            scale=dataclasses.replace(scale, name=f"sweep-cache-fleet-{scale.name}"),
-            seed=seed,
-            max_workers=1,
-            use_cache=True,
-            cache_dir=cache_dir,
-        )
-        return scenario_doc["cache_hits"] + fleet_doc["cache_hits"]
+        documents = [
+            _sweep_benchmark(grid, axes, scale, seed, prefix=prefix, cache_dir=cache_dir)
+            for (grid, axes), prefix in zip(SWEEP_ROWS, ("sweep-cache", "sweep-cache-fleet"))
+        ]
+        return sum(document["cache_hits"] for document in documents)
 
     try:
         start = time.perf_counter()
@@ -424,65 +374,6 @@ def _event_core_benchmark(scale: ExperimentScale, seed: int) -> None:
     loop.run(max_events=int(20_000 * scale.trace_duration_s))
 
 
-def _parallel_shards_benchmark(scale: ExperimentScale, seed: int) -> Dict[str, float]:
-    """Serial vs. conservative-parallel execution of one eligible tier cell.
-
-    A four-shard ``locality_affinity``/``fixed``-autoscaler cell — the
-    configuration class :mod:`repro.parallel` can shard — run serially and
-    then under the parallel executor.  The additive fields record measured
-    wall-clocks, the speedup, the worker/CPU counts (a 1-CPU container
-    cannot show a real speedup; ``cpu_count`` makes that legible in the
-    trajectory) and ``identical`` — 1.0 iff the two runs produced
-    bit-identical records, summaries and tier stats, which is the
-    correctness half of the row.
-    """
-    import os
-
-    from repro.multicluster.config import make_multicluster_config
-    from repro.multicluster.sweep import SWEEP_ADMISSION, run_tier
-    from repro.scenarios.registry import get_scenario
-    from repro.scenarios.sweep import build_cell_config
-
-    spec = get_scenario("steady-poisson")
-    cell_scale = dataclasses.replace(scale, name=f"parallel-shards-{scale.name}")
-    shards = 4
-
-    def build(execution: str):
-        config = build_cell_config(spec, cell_scale, seed=seed)
-        config.multicluster = make_multicluster_config(
-            num_clusters=shards,
-            global_router="locality_affinity",
-            placement="spare_capacity_first",
-            cluster_autoscaler="fixed",
-            admission=SWEEP_ADMISSION,
-            execution=execution,
-        )
-        return config
-
-    def digest(run):
-        return (
-            tuple((r.ttft, r.mean_tpot, r.finished) for r in run.result.records),
-            run.result.summary,
-            run.system.stats(),
-            run.result.duration_s,
-            run.result.finished_requests,
-        )
-
-    serial = run_tier(spec, "vllm", build("serial"), cell_scale, seed)
-    parallel = run_tier(spec, "vllm", build("parallel"), cell_scale, seed)
-    report = parallel.parallel
-    identical = digest(serial) == digest(parallel)
-    return {
-        "shards": float(shards),
-        "workers": float(report.workers if report is not None else 0),
-        "cpu_count": float(os.cpu_count() or 1),
-        "serial_wall_s": serial.wall_s,
-        "parallel_wall_s": parallel.wall_s,
-        "speedup": serial.wall_s / parallel.wall_s if parallel.wall_s > 0 else 0.0,
-        "identical": 1.0 if identical else 0.0,
-    }
-
-
 #: id -> runner; every runner accepts the scale unless marked analytic.
 EXPERIMENT_RUNNERS: Dict[str, Callable] = {
     "figure2": lambda scale, seed: figure2.run_figure2(scale, seed=seed),
@@ -500,20 +391,15 @@ EXPERIMENT_RUNNERS: Dict[str, Callable] = {
     ),
     "figure17": lambda scale, seed: figure17.run_figure17(scale, seed=seed),
     "table1": lambda scale, seed: table1.run_table1(),
-    "scenarios": _scenario_sweep_benchmark,
-    "fleet": _fleet_sweep_benchmark,
-    "multicluster": _multicluster_sweep_benchmark,
-    "chaos": _chaos_sweep_benchmark,
-    "serve": _serve_sweep_benchmark,
+    **{grid.name: functools.partial(_sweep_benchmark, grid, axes) for grid, axes in SWEEP_ROWS},
     "sweep_cache": _sweep_cache_benchmark,
     "trace_overhead": _trace_overhead_benchmark,
     "event_core": _event_core_benchmark,
-    "parallel_shards": _parallel_shards_benchmark,
 }
 
 #: Experiment ids whose runner's return value is a dict of additive entry
 #: fields (everything else returns a document the meter ignores).
-EXTRA_FIELD_RUNNERS = frozenset({"sweep_cache", "trace_overhead", "parallel_shards"})
+EXTRA_FIELD_RUNNERS = frozenset({"sweep_cache", "trace_overhead"})
 
 
 def run_experiment_benchmark(
@@ -684,13 +570,5 @@ def format_results(document: Dict) -> str:
                 f"{'':<18} {'':<12} untraced {entry['untraced_wall_s']:.2f}s vs "
                 f"disabled tracer {entry['disabled_wall_s']:.2f}s "
                 f"({entry['overhead_ratio']:.3f}x)"
-            )
-        if entry["experiment"] == "parallel_shards" and "speedup" in entry:
-            lines.append(
-                f"{'':<18} {'':<12} serial {entry['serial_wall_s']:.2f}s vs "
-                f"parallel {entry['parallel_wall_s']:.2f}s "
-                f"({entry['speedup']:.2f}x, {entry['workers']:.0f} workers / "
-                f"{entry['cpu_count']:.0f} cpus, identical="
-                f"{'yes' if entry['identical'] else 'NO'})"
             )
     return "\n".join(lines)

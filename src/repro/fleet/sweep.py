@@ -1,75 +1,60 @@
-"""Fleet sweep (scenario × policy × router × autoscaler grid), executed by
-the unified sweep engine.
+"""Fleet sweep (scenario × policy × router × autoscaler × faults grid): the
+elastic-fleet grid of the sweep engine.
 
 Replays registered scenarios (:mod:`repro.scenarios.registry`) through
 fleet-enabled serving systems, varying the router strategy, the
 autoscaler preset and (optionally) a fault-schedule preset, and
 aggregates the results into a stable-schema ``FLEET_results.json``
-document (:mod:`repro.fleet.schema`).
+document (:mod:`repro.fleet.schema`).  This module only declares the
+grid (:data:`FLEET_GRID`).
 
 The ``faults`` axis materialises :mod:`repro.chaos` presets against the
 single-cluster topology — only the instance-kill shapes (``none``,
 ``instance-kill``, ``churn``) apply; cluster outages and WAN degradation
 are tier-level faults that belong to the ``python -m repro.chaos`` sweep.
 The default axis is ``("none",)`` so the baseline grid is unchanged.
-
-Execution mirrors :mod:`repro.scenarios.sweep` exactly: every cell is a
-:class:`~repro.sweeps.task.SweepTask` (content hash over the scenario
-fingerprint, policy, router, autoscaler, admission settings, scale, seed
-and ``repro`` version), cache hits skip recomputation entirely, and
-misses fan out over the engine's shared warm worker pool.  Every cell is
-seeded independently of execution order and results are JSON-normalised
-and assembled in grid order — so output is bit-identical across runs,
-across parallel vs. sequential execution, and across cold vs. warm
-caches, modulo the ``wall_s*`` and cache-accounting fields.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import time
-from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Tuple, Union
 
 from repro.chaos.config import fault_schedule_preset, schedule_fingerprint
 from repro.experiments.runner import ExperimentScale
-from repro.fleet.config import AdmissionConfig, list_autoscaler_presets, make_fleet_config
+from repro.fleet.config import (
+    AUTOSCALER_PRESETS,
+    AdmissionConfig,
+    list_autoscaler_presets,
+    make_fleet_config,
+)
 from repro.fleet.routing import list_routers
-from repro.fleet.schema import SCHEMA_VERSION
+from repro.fleet.schema import SCHEMA
 from repro.policies import make_policy
-from repro.scenarios.registry import ScenarioSpec, get_scenario, list_scenarios
-from repro.scenarios.sweep import build_cell_config, spec_fingerprint
+from repro.scenarios.registry import ScenarioSpec
+from repro.scenarios.sweep import build_cell_config
 from repro.serving.system import ClusterServingSystem
-from repro.sweeps import ResultCache, SweepTask, run_tasks
-from repro.version import __version__
-from repro.workloads.slo import LatencyRecord, baseline_p50, slo_violation_ratio
+from repro.sweeps.grid import (
+    REPO_ROOT,
+    Axis,
+    CellResult,
+    CellRun,
+    Column,
+    Frontend,
+    Grid,
+    fault_events,
+    head_columns,
+    policy_axis,
+    scenario_axis,
+    stat,
+    summary_columns,
+    sweep_scales,
+)
 
 #: Default sweep scale; what the ``python -m repro.fleet`` acceptance run uses.
-QUICK_FLEET_SCALE = ExperimentScale(
-    name="fleet-quick",
-    num_instances=2,
-    trace_duration_s=30.0,
-    drain_timeout_s=30.0,
-)
-
-FULL_FLEET_SCALE = ExperimentScale(
-    name="fleet-full",
-    num_instances=4,
-    trace_duration_s=90.0,
-    drain_timeout_s=90.0,
-)
-
-FLEET_SCALES: Dict[str, ExperimentScale] = {
-    "quick": QUICK_FLEET_SCALE,
-    "full": FULL_FLEET_SCALE,
-}
-
-#: Default grid axes: one bursty scenario, one policy, every router, both
-#: elasticity presets, no faults.
-DEFAULT_SCENARIOS: Tuple[str, ...] = ("spike-train",)
-DEFAULT_POLICIES: Tuple[str, ...] = ("vllm",)
-DEFAULT_FAULTS: Tuple[str, ...] = ("none",)
+FLEET_SCALES = sweep_scales("fleet")
+QUICK_FLEET_SCALE = FLEET_SCALES["quick"]
+FULL_FLEET_SCALE = FLEET_SCALES["full"]
 
 #: The :func:`repro.chaos.config.fault_schedule_preset` names a
 #: single-cluster fleet can inject (instance kills only; outages and WAN
@@ -81,6 +66,7 @@ def list_fleet_fault_presets() -> List[str]:
     """Fault presets the fleet sweep accepts on its ``faults`` axis."""
     return list(FLEET_FAULT_PRESETS)
 
+
 #: Admission settings used by every sweep cell: tight enough that bounded
 #: queues and SLO shedding are exercised under the burst scenarios, loose
 #: enough that steady-state cells behave like the plain dispatcher.
@@ -91,37 +77,7 @@ SWEEP_ADMISSION = AdmissionConfig(
 )
 
 #: Default output location: the repository root, next to BENCH_results.json.
-DEFAULT_OUTPUT = Path(__file__).resolve().parents[3] / "FLEET_results.json"
-
-
-@dataclasses.dataclass(frozen=True)
-class FleetCellResult:
-    """Raw outcome of one grid cell, before SLO aggregation.
-
-    ``latencies`` holds one ``(ttft, mean_tpot)`` pair per request so the
-    aggregator can derive cross-cell SLO baselines without shipping full
-    records between processes (same trick as the scenario sweep).
-    """
-
-    scenario: str
-    policy: str
-    policy_name: str
-    router: str
-    autoscaler: str
-    faults: str
-    fault_events: int
-    workload: str
-    requests: int
-    finished: int
-    completion_ratio: float
-    initial_groups: int
-    summary: Dict[str, float]
-    fleet_stats: Dict[str, float]
-    latencies: Tuple[Tuple[Optional[float], Optional[float]], ...]
-    wall_s: float
-    #: alert timeline block (``--alerts`` cells only; see
-    #: :mod:`repro.obs.schema`).
-    alerts: Optional[Dict[str, Any]] = None
+DEFAULT_OUTPUT = REPO_ROOT / "FLEET_results.json"
 
 
 def fleet_fault_schedule(faults: str, scale: ExperimentScale, seed: int):
@@ -145,6 +101,112 @@ def fleet_fault_schedule(faults: str, scale: ExperimentScale, seed: int):
     )
 
 
+def _build(cell: CellRun):
+    spec, scale, seed = cell.spec, cell.scale, cell.seed
+    workload = spec.build_workload(scale, seed)
+    policy = make_policy(cell["policy"])
+    config = build_cell_config(spec, scale, seed=seed)
+    config.fleet = make_fleet_config(
+        router=cell["router"], autoscaler=cell["autoscaler"], admission=SWEEP_ADMISSION
+    )
+    schedule = fleet_fault_schedule(cell["faults"], scale, seed)
+    config.chaos = schedule if schedule else None
+    return ClusterServingSystem(config, policy), Frontend(workload)
+
+
+def _autoscaler_line(name: str) -> str:
+    state = "elastic" if AUTOSCALER_PRESETS[name].enabled else "fixed fleet"
+    return f"{name:<10} {state}"
+
+
+FLEET_GRID = Grid(
+    name="fleet",
+    runner="repro.fleet.sweep:FLEET_GRID",
+    schema=SCHEMA,
+    axes=(
+        scenario_axis(("spike-train",)),
+        policy_axis(("vllm",)),
+        Axis(
+            "router",
+            "routers",
+            default=list_routers,
+            known=list_routers,
+            noun="routers",
+            metavar="ROUTER",
+            listing="--list-routers",
+            help="router strategies (default: all registered)",
+        ),
+        Axis(
+            "autoscaler",
+            "autoscalers",
+            default=list_autoscaler_presets,
+            known=list_autoscaler_presets,
+            noun="autoscaler presets",
+            metavar="PRESET",
+            listing="--list-autoscalers",
+            describe=_autoscaler_line,
+            help="autoscaler presets (default: all presets)",
+        ),
+        Axis(
+            "faults",
+            "faults",
+            default=lambda: ["none"],
+            known=list_fleet_fault_presets,
+            noun="single-cluster fault presets",
+            metavar="PRESET",
+            listing="--list-faults",
+            help="fault-schedule presets (default: none)",
+        ),
+    ),
+    build=_build,
+    key=lambda cell: {
+        "kind": "fleet-cell",
+        "router": cell["router"],
+        "autoscaler": cell["autoscaler"],
+        # The materialised schedule, not just the preset name: a
+        # "churn" cell's cache entry must turn over when the hazard
+        # rate or the sampled event times change.
+        "faults": schedule_fingerprint(
+            fleet_fault_schedule(cell["faults"], cell.scale, cell.seed)
+        ),
+        "admission": dataclasses.asdict(SWEEP_ADMISSION),
+    },
+    stats=lambda cell: cell.system.fleet.stats(),
+    stats_key="fleet_stats",
+    columns=(
+        *head_columns("<16", "<9"),
+        Column("router", fmt="<21"),
+        Column("autoscaler", fmt="<8", head="scaler"),
+        Column("faults", fmt="<13"),
+        Column("fault_events", fault_events),
+        Column("workload", lambda c: c.frontend.workload.name),
+        Column("requests", lambda c: c.result.submitted_requests, ">5d", "reqs"),
+        Column("admitted", stat("admitted")),
+        Column("shed", stat("shed"), ">5d"),
+        Column("queue_peak", stat("queue_peak")),
+        Column("scale_up_events", stat("scale_up_events"), ">3d", "up"),
+        Column("scale_down_events", stat("scale_down_events"), ">3d", "dn"),
+        Column("initial_groups", lambda c: c.initial_groups),
+        Column("final_groups", stat("final_groups")),
+        Column("finished", lambda c: c.result.finished_requests, ">5d", "fin"),
+        Column("completion_ratio", lambda c: c.result.completion_ratio),
+        *summary_columns(ttft_p50=">9.3f"),
+    ),
+    scales=FLEET_SCALES,
+    output=DEFAULT_OUTPUT,
+    description="Sweep scenarios across router strategies and autoscaler "
+    "presets in parallel and write FLEET_results.json.",
+    observers=frozenset({"alerts", "metrics_out"}),
+)
+
+#: Sweep the scenario × policy × router × autoscaler × faults grid
+#: (keywords: ``scenarios``, ``policies``, ``routers``, ``autoscalers``,
+#: ``faults``, ``alerts`` and the :meth:`Grid.sweep` controls).
+run_fleet_sweep = FLEET_GRID.sweep
+write_results = FLEET_GRID.write_results
+format_results = FLEET_GRID.format_results
+
+
 def run_fleet_cell(
     scenario: Union[str, ScenarioSpec],
     policy_key: str,
@@ -154,363 +216,8 @@ def run_fleet_cell(
     seed: int = 42,
     faults: str = "none",
     alerts: bool = False,
-) -> FleetCellResult:
+) -> CellResult:
     """Run one scenario under one (policy, router, autoscaler, faults)
-    combination; the in-process cell primitive.
-
-    ``alerts=True`` attaches an in-memory metrics monitor, replays the
-    :func:`repro.obs.default_rule_pack` over the recorded scrape stream,
-    and fills the result's ``alerts`` block.
-    """
-    spec = scenario if isinstance(scenario, ScenarioSpec) else get_scenario(scenario)
-    workload = spec.build_workload(scale, seed)
-    policy = make_policy(policy_key)
-    config = build_cell_config(spec, scale, seed=seed)
-    config.fleet = make_fleet_config(
-        router=router, autoscaler=autoscaler, admission=SWEEP_ADMISSION
-    )
-    schedule = fleet_fault_schedule(faults, scale, seed)
-    config.chaos = schedule if schedule else None
-    start = time.perf_counter()
-    system = ClusterServingSystem(config, policy)
-    chunks: List[Tuple[str, float]] = []
-    if alerts:
-        system.attach_metrics(callback=lambda text, now: chunks.append((text, now)))
-    initial_groups = len(system.groups)
-    result = system.run(workload)
-    wall_s = time.perf_counter() - start
-    alerts_block = None
-    if alerts:
-        from repro.obs import evaluate_monitor_chunks
-
-        alerts_block = evaluate_monitor_chunks(chunks)
-    return FleetCellResult(
-        scenario=spec.name,
-        policy=policy_key,
-        policy_name=policy.name,
-        router=router,
-        autoscaler=autoscaler,
-        faults=faults,
-        fault_events=len(schedule.events),
-        workload=workload.name,
-        requests=result.submitted_requests,
-        finished=result.finished_requests,
-        completion_ratio=result.completion_ratio,
-        initial_groups=initial_groups,
-        summary=result.summary,
-        fleet_stats=system.fleet.stats(),
-        latencies=tuple((r.ttft, r.mean_tpot) for r in result.records),
-        wall_s=wall_s,
-        alerts=alerts_block,
-    )
-
-
-def stream_cell_metrics(
-    scenario: Union[str, ScenarioSpec],
-    policy_key: str,
-    router: str,
-    autoscaler: str,
-    scale: ExperimentScale,
-    seed: int,
-    path,
-    faults: str = "none",
-) -> int:
-    """Replay one cell inline with a live Prometheus metrics stream.
-
-    Same construction as :func:`run_fleet_cell`, but with a
-    :class:`repro.metrics.MetricsMonitor` attached, streaming text
-    scrapes (queue depth, active/spare instances, shed counters) to
-    ``path``; returns the number of scrapes written.  This is what
-    ``python -m repro.fleet --metrics-out`` runs (uncached — the stream
-    is the point, not the result document).
-    """
-    spec = scenario if isinstance(scenario, ScenarioSpec) else get_scenario(scenario)
-    workload = spec.build_workload(scale, seed)
-    config = build_cell_config(spec, scale, seed=seed)
-    config.fleet = make_fleet_config(
-        router=router, autoscaler=autoscaler, admission=SWEEP_ADMISSION
-    )
-    schedule = fleet_fault_schedule(faults, scale, seed)
-    config.chaos = schedule if schedule else None
-    system = ClusterServingSystem(config, make_policy(policy_key))
-    monitor = system.attach_metrics(path=path)
-    system.run(workload)
-    return monitor.scrapes
-
-
-# ----------------------------------------------------------------------
-# Sweep-engine adapter
-# ----------------------------------------------------------------------
-def run_fleet_cell_payload(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
-    """Sweep-engine runner: one fleet cell as a JSON-able payload."""
-    cell = run_fleet_cell(
-        params["scenario"],
-        params["policy"],
-        params["router"],
-        params["autoscaler"],
-        params["scale"],
-        seed,
-        params.get("faults", "none"),
-        alerts=params.get("alerts", False),
-    )
-    return dataclasses.asdict(cell)
-
-
-def fleet_cell_task(
-    spec: ScenarioSpec,
-    policy: str,
-    router: str,
-    autoscaler: str,
-    scale: ExperimentScale,
-    seed: int,
-    faults: str = "none",
-    alerts: bool = False,
-) -> SweepTask:
-    """Describe one fleet grid cell as a cacheable sweep task."""
-    params: Dict[str, Any] = {
-        "scenario": spec,
-        "policy": policy,
-        "router": router,
-        "autoscaler": autoscaler,
-        "scale": scale,
-        "faults": faults,
-    }
-    key: Dict[str, Any] = {
-        "kind": "fleet-cell",
-        "schema_version": SCHEMA_VERSION,
-        "scenario": spec_fingerprint(spec),
-        "policy": policy,
-        "router": router,
-        "autoscaler": autoscaler,
-        # The materialised schedule, not just the preset name: a
-        # "churn" cell's cache entry must turn over when the hazard
-        # rate or the sampled event times change.
-        "faults": schedule_fingerprint(fleet_fault_schedule(faults, scale, seed)),
-        "admission": dataclasses.asdict(SWEEP_ADMISSION),
-        "scale": dataclasses.asdict(scale),
-    }
-    if alerts:
-        # Opt-in axis: only alert cells key on it, so cells without it
-        # keep their existing cache entries and stay bit-identical.
-        params["alerts"] = True
-        key["alerts"] = True
-    return SweepTask(
-        runner="repro.fleet.sweep:run_fleet_cell_payload",
-        params=params,
-        key=key,
-        seed=seed,
-        label=f"{spec.name}/{policy}/{router}/{autoscaler}/{faults}",
-    )
-
-
-def _scenario_entries(
-    spec: ScenarioSpec, cells: Sequence[Dict[str, Any]]
-) -> List[Dict]:
-    """Turn one scenario's cell payloads into schema entries with derived SLOs.
-
-    The SLO reference point is the best cell's P50 (TTFT and TPOT
-    independently) *within this scenario* across the whole fleet grid,
-    scaled by the scenario's ``slo_scale`` — the Figure 13 convention with
-    fleet configurations standing in for policies.
-    """
-    records_by_cell = {
-        index: [LatencyRecord(t, p) for t, p in cell["latencies"]]
-        for index, cell in enumerate(cells)
-    }
-    best_ttft, best_tpot = baseline_p50(records_by_cell)
-    ttft_slo_s = spec.slo_scale * best_ttft
-    tpot_slo_s = spec.slo_scale * best_tpot
-    entries = []
-    for index, cell in enumerate(cells):
-        violation = slo_violation_ratio(
-            records_by_cell[index], ttft_slo_s=ttft_slo_s, tpot_slo_s=tpot_slo_s
-        )
-        stats = cell["fleet_stats"]
-        summary = cell["summary"]
-        entries.append(
-            {
-                "scenario": cell["scenario"],
-                "policy": cell["policy"],
-                "policy_name": cell["policy_name"],
-                "router": cell["router"],
-                "autoscaler": cell["autoscaler"],
-                "faults": cell["faults"],
-                "fault_events": cell["fault_events"],
-                "workload": cell["workload"],
-                "requests": cell["requests"],
-                "admitted": int(stats["admitted"]),
-                "shed": int(stats["shed"]),
-                "queue_peak": int(stats["queue_peak"]),
-                "scale_up_events": int(stats["scale_up_events"]),
-                "scale_down_events": int(stats["scale_down_events"]),
-                "initial_groups": cell["initial_groups"],
-                "final_groups": int(stats["final_groups"]),
-                "finished": cell["finished"],
-                "completion_ratio": cell["completion_ratio"],
-                "ttft_p50": summary["ttft_p50"],
-                "ttft_p90": summary["ttft_p90"],
-                "ttft_p99": summary["ttft_p99"],
-                "tpot_p50": summary["tpot_p50"],
-                "tpot_p90": summary["tpot_p90"],
-                "tpot_p99": summary["tpot_p99"],
-                "throughput_tokens_per_s": summary["throughput_tokens_per_s"],
-                "slo_scale": spec.slo_scale,
-                "ttft_slo_s": ttft_slo_s,
-                "tpot_slo_s": tpot_slo_s,
-                "slo_violation_ratio": violation,
-                "slo_attainment": 1.0 - violation,
-                "wall_s": cell["wall_s"],
-            }
-        )
-        if cell.get("alerts"):
-            entries[-1]["alerts"] = cell["alerts"]
-    return entries
-
-
-def run_fleet_sweep(
-    *,
-    scenarios: Optional[Sequence[str]] = None,
-    policies: Optional[Sequence[str]] = None,
-    routers: Optional[Sequence[str]] = None,
-    autoscalers: Optional[Sequence[str]] = None,
-    faults: Optional[Sequence[str]] = None,
-    scale: ExperimentScale = QUICK_FLEET_SCALE,
-    seed: int = 42,
-    max_workers: Optional[int] = None,
-    use_cache: bool = False,
-    cache_dir: Optional[Path] = None,
-    alerts: bool = False,
-) -> Dict:
-    """Sweep the scenario × policy × router × autoscaler × faults grid.
-
-    Args:
-        scenarios: scenario names (default: :data:`DEFAULT_SCENARIOS`).
-        policies: overload-policy keys (default: :data:`DEFAULT_POLICIES`).
-        routers: router strategies (default: every registered router).
-        autoscalers: autoscaler preset names (default: every preset).
-        faults: fault-schedule presets, a subset of
-            :data:`FLEET_FAULT_PRESETS` (default: ``("none",)`` — the
-            baseline grid without chaos).
-        scale: cluster size / trace length of every cell.
-        seed: sweep seed; every cell derives its randomness from it.
-        max_workers: worker processes; ``1`` runs cells inline (no pool),
-            ``None`` sizes the pool to the grid (capped by the CPUs this
-            process may use, cgroup limits included).
-        use_cache: serve unchanged cells from the on-disk result cache
-            and store fresh ones (the CLI enables this by default; the
-            Python API defaults to off).
-        cache_dir: cache location override (default ``.repro_cache/`` at
-            the repository root, or ``$REPRO_CACHE_DIR``).
-        alerts: replay the default alert-rule pack (:mod:`repro.obs`)
-            over every cell's metric stream and attach an ``alerts``
-            timeline block to each entry.  Opt-in axis: cells without it
-            keep their existing cache entries and stay bit-identical.
-    """
-    names = list(scenarios) if scenarios is not None else list(DEFAULT_SCENARIOS)
-    policy_keys = list(policies) if policies is not None else list(DEFAULT_POLICIES)
-    router_names = list(routers) if routers is not None else list_routers()
-    scaler_names = (
-        list(autoscalers) if autoscalers is not None else list_autoscaler_presets()
-    )
-    fault_names = list(faults) if faults is not None else list(DEFAULT_FAULTS)
-    unknown = [n for n in names if n not in list_scenarios()]
-    if unknown:
-        raise KeyError(f"unknown scenarios {unknown}; known: {', '.join(list_scenarios())}")
-    unknown = [r for r in router_names if r not in list_routers()]
-    if unknown:
-        raise KeyError(f"unknown routers {unknown}; known: {', '.join(list_routers())}")
-    unknown = [a for a in scaler_names if a not in list_autoscaler_presets()]
-    if unknown:
-        raise KeyError(
-            f"unknown autoscaler presets {unknown}; "
-            f"known: {', '.join(list_autoscaler_presets())}"
-        )
-    unknown = [f for f in fault_names if f not in FLEET_FAULT_PRESETS]
-    if unknown:
-        raise KeyError(
-            f"unknown fleet fault presets {unknown}; "
-            f"known: {', '.join(FLEET_FAULT_PRESETS)} "
-            f"(tier-level presets belong to python -m repro.chaos)"
-        )
-    if not names or not policy_keys or not router_names or not scaler_names:
-        raise ValueError("the fleet sweep needs at least one value on every axis")
-    if not fault_names:
-        raise ValueError("the fleet sweep needs at least one value on every axis")
-    if max_workers is not None and max_workers < 1:
-        raise ValueError("max_workers must be >= 1")
-    specs = [get_scenario(name) for name in names]
-    tasks = [
-        fleet_cell_task(spec, policy, router, scaler, scale, seed, preset, alerts=alerts)
-        for spec in specs
-        for policy in policy_keys
-        for router in router_names
-        for scaler in scaler_names
-        for preset in fault_names
-    ]
-
-    cache = ResultCache(cache_dir) if use_cache else None
-    start = time.perf_counter()
-    outcome = run_tasks(tasks, max_workers=max_workers, cache=cache)
-    wall_s_total = time.perf_counter() - start
-
-    by_scenario: Dict[str, List[Dict[str, Any]]] = {name: [] for name in names}
-    for cell in outcome.results:
-        by_scenario[cell["scenario"]].append(cell)
-    entries: List[Dict] = []
-    for spec in specs:
-        entries.extend(_scenario_entries(spec, by_scenario[spec.name]))
-
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "repro_version": __version__,
-        "seed": seed,
-        "scale": {
-            "name": scale.name,
-            "num_instances": scale.num_instances,
-            "trace_duration_s": scale.trace_duration_s,
-            "drain_timeout_s": scale.drain_timeout_s,
-        },
-        "scenarios": names,
-        "policies": policy_keys,
-        "routers": router_names,
-        "autoscalers": scaler_names,
-        "faults": fault_names,
-        # Only present when the opt-in axis was enabled: plain documents
-        # keep their pre-alerts byte shape (no schema version bump).
-        **({"alerts": True} if alerts else {}),
-        "entries": entries,
-        "cache_hits": outcome.cache_hits,
-        "cache_misses": outcome.cache_misses,
-        "wall_s_total": wall_s_total,
-    }
-
-
-def write_results(document: Dict, path: Optional[Path] = None) -> Path:
-    """Write the document to ``FLEET_results.json`` (repo root by default)."""
-    target = Path(path) if path is not None else DEFAULT_OUTPUT
-    target.write_text(json.dumps(document, indent=2, sort_keys=False) + "\n")
-    return target
-
-
-def format_results(document: Dict) -> str:
-    """Human-readable table of a fleet sweep document."""
-    scale = document["scale"]
-    lines = [
-        f"repro {document['repro_version']} · scale {scale['name']} "
-        f"({scale['num_instances']} instances, {scale['trace_duration_s']:.0f}s trace) "
-        f"· seed {document['seed']} · {len(document['entries'])} cells "
-        f"in {document['wall_s_total']:.1f}s",
-        f"{'scenario':<16} {'policy':<9} {'router':<21} {'scaler':<8} "
-        f"{'faults':<13} {'reqs':>5} {'fin':>5} {'shed':>5} {'up':>3} {'dn':>3} "
-        f"{'ttft_p50':>9} {'slo_att':>8}",
-    ]
-    for entry in document["entries"]:
-        lines.append(
-            f"{entry['scenario']:<16} {entry['policy']:<9} {entry['router']:<21} "
-            f"{entry['autoscaler']:<8} {entry['faults']:<13} "
-            f"{entry['requests']:>5d} {entry['finished']:>5d} "
-            f"{entry['shed']:>5d} {entry['scale_up_events']:>3d} "
-            f"{entry['scale_down_events']:>3d} {entry['ttft_p50']:>9.3f} "
-            f"{entry['slo_attainment']:>8.2f}"
-        )
-    return "\n".join(lines)
+    combination in-process; the cell's payload."""
+    cell = dict(scenario=scenario, policy=policy_key, router=router, autoscaler=autoscaler)
+    return FLEET_GRID.run_cell({**cell, "faults": faults, "scale": scale}, seed, alerts=alerts)

@@ -141,10 +141,7 @@ def summarize_records(
 
     Percentiles are computed over the union of every shard's records;
     ``throughput`` is the sum of the shards' bucket-mean token rates (the
-    single-cluster definition, summed — callers must add shard terms in
-    shard-index order so serial and parallel assembly agree bit-for-bit).
-    Module-level so the parallel shard executor (:mod:`repro.parallel`)
-    can assemble the identical summary from worker-returned records.
+    single-cluster definition, summed in shard-index order).
     """
     ttfts = [r.ttft for r in records if r.ttft is not None]
     tpots = [r.mean_tpot for r in records if r.mean_tpot is not None]

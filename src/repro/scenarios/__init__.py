@@ -41,20 +41,17 @@ from repro.scenarios.sweep import (
     DEFAULT_OUTPUT,
     FULL_SWEEP_SCALE,
     QUICK_SWEEP_SCALE,
+    SCENARIO_GRID,
     SWEEP_SCALES,
-    CellResult,
     format_results,
     run_cell,
-    run_cell_payload,
     run_sweep,
-    scenario_cell_task,
     spec_fingerprint,
     write_results,
 )
 
 __all__ = [
     "BUILTIN_SCENARIOS",
-    "CellResult",
     "DEFAULT_OUTPUT",
     "DEFAULT_POLICY_SET",
     "DOCUMENT_KEYS",
@@ -63,6 +60,7 @@ __all__ = [
     "LONG_CONTEXT_SKEW_DATASET",
     "QUICK_SWEEP_SCALE",
     "SCALE_KEYS",
+    "SCENARIO_GRID",
     "SCHEMA_VERSION",
     "SWEEP_SCALES",
     "ScenarioSpec",
@@ -79,9 +77,7 @@ __all__ = [
     "poisson_trace",
     "register_scenario",
     "run_cell",
-    "run_cell_payload",
     "run_sweep",
-    "scenario_cell_task",
     "spec_fingerprint",
     "spike_train_trace",
     "stamp_sessions",

@@ -1,97 +1,59 @@
-"""Scenario × policy sweep, executed by the unified sweep engine.
+"""Scenario × policy sweep: the scenario grid of the sweep engine.
 
 Runs a grid of registered scenarios against a set of overload policies and
 aggregates per-cell TTFT/TPOT percentiles, throughput and SLO attainment
 into a stable-schema ``SCENARIO_results.json`` document
 (:mod:`repro.scenarios.schema`).
 
-Execution is delegated to :mod:`repro.sweeps`: every cell becomes a
-:class:`~repro.sweeps.task.SweepTask` whose content hash covers the
-scenario fingerprint, policy, scale, fleet preset, seed and ``repro``
-version — so with caching enabled (``use_cache=True``, the CLI default)
-an unchanged cell is a cache hit and a rerun recomputes only changed
-cells.  Misses fan out across the engine's shared warm worker pool; each
-worker builds its own :class:`~repro.serving.ClusterServingSystem` from
-scratch, so cells share no state and the grid scales with cores.  Workers
-receive the :class:`ScenarioSpec` itself (not just a name), so scenarios
-registered at run time survive ``spawn``/``forkserver`` start methods too
-— provided their workload factory is a module-level function the worker
-can unpickle, which every built-in is.
+This module only declares the grid (:data:`SCENARIO_GRID`): its axes, its
+cell builder and its columns.  Task keys, caching, the warm worker pool,
+SLO aggregation and the CLI are the shared :mod:`repro.sweeps.grid`
+machinery.  Workers receive the :class:`ScenarioSpec` itself (not just a
+name), so scenarios registered at run time survive ``spawn`` /
+``forkserver`` start methods too — provided their workload factory is a
+module-level function the worker can unpickle, which every built-in is.
 
-Determinism: every cell is seeded independently of execution order,
-results are normalised through JSON whether they were computed or served
-from cache, and the document is assembled in grid order — so the emitted
-document is bit-identical across runs, across parallel vs. sequential
-execution, and across cold vs. warm caches, except for the wall-clock and
-cache-accounting fields (see
-:func:`repro.scenarios.schema.strip_wall_clock`).
+Two single-valued options reshape every cell: ``fleet`` names a fleet
+preset (:func:`repro.fleet.config.fleet_preset`) so cells run behind the
+elastic-fleet layer, and ``multicluster`` names a fleet-of-fleets preset
+(:func:`repro.multicluster.config.multicluster_preset`) so cells run
+through the sharded tier.  The tier builds a fleet controller per shard,
+so the two are mutually exclusive.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
-import time
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Mapping, Optional, Union
 
-from repro.experiments.runner import ExperimentScale
 from repro.cluster.specs import cluster_a_spec, cluster_b_spec
+from repro.experiments.runner import ExperimentScale
 from repro.fleet.config import fleet_preset
 from repro.policies import make_policy
-from repro.scenarios.registry import ScenarioSpec, get_scenario, list_scenarios
-from repro.scenarios.schema import SCHEMA_VERSION
+from repro.scenarios.registry import DEFAULT_POLICY_SET, ScenarioSpec, get_scenario, list_scenarios
+from repro.scenarios.schema import SCHEMA
 from repro.serving.config import ServingConfig
 from repro.serving.system import ClusterServingSystem
-from repro.sweeps import ResultCache, SweepTask, run_tasks
-from repro.version import __version__
-from repro.workloads.slo import LatencyRecord, baseline_p50, slo_violation_ratio
+from repro.sweeps.grid import (
+    REPO_ROOT,
+    Axis,
+    CellResult,
+    CellRun,
+    Column,
+    Frontend,
+    Grid,
+    head_columns,
+    spec_fingerprint,
+    summary_columns,
+    sweep_scales,
+)
 
 #: Default sweep scales; ``quick`` is the one the CLI acceptance run uses.
-QUICK_SWEEP_SCALE = ExperimentScale(
-    name="scenarios-quick",
-    num_instances=2,
-    trace_duration_s=30.0,
-    drain_timeout_s=30.0,
-)
-
-FULL_SWEEP_SCALE = ExperimentScale(
-    name="scenarios-full",
-    num_instances=4,
-    trace_duration_s=90.0,
-    drain_timeout_s=90.0,
-)
-
-SWEEP_SCALES: Dict[str, ExperimentScale] = {
-    "quick": QUICK_SWEEP_SCALE,
-    "full": FULL_SWEEP_SCALE,
-}
+SWEEP_SCALES = sweep_scales("scenarios")
+QUICK_SWEEP_SCALE = SWEEP_SCALES["quick"]
+FULL_SWEEP_SCALE = SWEEP_SCALES["full"]
 
 #: Default output location: the repository root, next to BENCH_results.json.
-DEFAULT_OUTPUT = Path(__file__).resolve().parents[3] / "SCENARIO_results.json"
-
-
-@dataclass(frozen=True)
-class CellResult:
-    """Raw outcome of one scenario × policy cell, before SLO aggregation.
-
-    ``latencies`` holds one ``(ttft, mean_tpot)`` pair per request (``None``
-    where a request never reached that milestone) so the aggregator can
-    derive cross-policy SLO baselines without shipping full records between
-    processes.
-    """
-
-    scenario: str
-    policy: str
-    policy_name: str
-    workload: str
-    requests: int
-    finished: int
-    completion_ratio: float
-    summary: Dict[str, float]
-    latencies: Tuple[Tuple[Optional[float], Optional[float]], ...]
-    wall_s: float
+DEFAULT_OUTPUT = REPO_ROOT / "SCENARIO_results.json"
 
 
 def build_cell_config(
@@ -115,6 +77,108 @@ def build_cell_config(
     )
 
 
+def _check_presets(options: Mapping[str, Any]) -> None:
+    """Fail fast on unknown presets and on fleet combined with multicluster."""
+    if options["fleet"] is not None:
+        fleet_preset(options["fleet"])
+    if options["multicluster"] is not None:
+        if options["fleet"] is not None:
+            raise ValueError(
+                "fleet and multicluster are mutually exclusive: the multicluster "
+                "tier builds a fleet controller per cluster shard"
+            )
+        # Local import: repro.multicluster.sweep imports this module.
+        from repro.multicluster.config import multicluster_preset
+
+        multicluster_preset(options["multicluster"])
+
+
+def _build(cell: CellRun):
+    spec, scale, seed = cell.spec, cell.scale, cell.seed
+    config = build_cell_config(spec, scale, seed=seed)
+    if cell["multicluster"] is not None:
+        from repro.multicluster.config import multicluster_preset
+        from repro.multicluster.sweep import tier_system
+
+        config.multicluster = multicluster_preset(cell["multicluster"])
+        return tier_system(cell, config)
+    policy = make_policy(cell["policy"])
+    workload = spec.build_workload(scale, seed)
+    if cell["fleet"] is not None:
+        config.fleet = fleet_preset(cell["fleet"])
+    return ClusterServingSystem(config, policy), Frontend(workload)
+
+
+def _cells(scenarios, policies):
+    """``policies`` for every scenario, or each scenario's own set."""
+    for name in scenarios:
+        for policy in policies if policies is not None else get_scenario(name).policies:
+            yield name, policy
+
+
+SCENARIO_GRID = Grid(
+    name="scenarios",
+    runner="repro.scenarios.sweep:SCENARIO_GRID",
+    schema=SCHEMA,
+    axes=(
+        Axis(
+            "scenario",
+            "scenarios",
+            default=list_scenarios,
+            known=list_scenarios,
+            help="subset of scenarios to sweep (default: all registered)",
+            listing="--list",
+            describe=lambda name: f"{name:<20} {get_scenario(name).description}",
+        ),
+        Axis(
+            "policy",
+            "policies",
+            default=lambda: None,
+            metavar="POLICY",
+            help="policy keys applied to every scenario (default: each scenario's "
+            f"own ScenarioSpec.policies set, usually {' '.join(DEFAULT_POLICY_SET)})",
+        ),
+    ),
+    product=_cells,
+    options=(
+        (
+            "fleet",
+            "run every cell behind a fleet preset (e.g. 'elastic' or "
+            "'power_of_two_choices/elastic'); default: plain dispatcher",
+        ),
+        (
+            "multicluster",
+            "run every cell through the fleet-of-fleets tier (e.g. '2' or "
+            "'2/locality_affinity/cost_weighted'); mutually exclusive with "
+            "--fleet; default: single cluster",
+        ),
+    ),
+    check_options=_check_presets,
+    build=_build,
+    key=lambda cell: {"kind": "scenario-cell"},
+    columns=(
+        *head_columns("<18", "<12"),
+        Column("workload", lambda c: c.frontend.workload.name),
+        Column("requests", lambda c: c.result.submitted_requests, ">6d", "reqs"),
+        Column("finished", lambda c: c.result.finished_requests, ">6d", "fin"),
+        Column("completion_ratio", lambda c: c.result.completion_ratio),
+        *summary_columns(
+            ttft_p50=">9.3f", tpot_p50=">9.4f", throughput_tokens_per_s=(">8.0f", "tok/s")
+        ),
+    ),
+    scales=SWEEP_SCALES,
+    output=DEFAULT_OUTPUT,
+    description="Sweep synthetic stress scenarios across overload policies "
+    "in parallel and write SCENARIO_results.json.",
+)
+
+#: Sweep the scenario × policy grid (keywords: ``scenarios``, ``policies``,
+#: ``fleet``, ``multicluster`` and the :meth:`Grid.sweep` controls).
+run_sweep = SCENARIO_GRID.sweep
+write_results = SCENARIO_GRID.write_results
+format_results = SCENARIO_GRID.format_results
+
+
 def run_cell(
     scenario: Union[str, ScenarioSpec],
     policy_key: str,
@@ -123,324 +187,12 @@ def run_cell(
     fleet: Optional[str] = None,
     multicluster: Optional[str] = None,
 ) -> CellResult:
-    """Run one scenario under one policy; the in-process cell primitive.
+    """Run one scenario under one policy in-process; the cell's payload.
 
-    Accepts the spec itself (what the sweep sends, so run-time
-    registrations work under any start method) or a registry name.
-    ``fleet`` optionally names a fleet preset
-    (:func:`repro.fleet.config.fleet_preset`, e.g. ``"elastic"`` or
-    ``"power_of_two_choices/elastic"``) so the cell runs behind the
-    elastic-fleet layer instead of the plain dispatcher.  ``multicluster``
-    optionally names a fleet-of-fleets preset
-    (:func:`repro.multicluster.config.multicluster_preset`, e.g. ``"2"``
-    or ``"2/locality_affinity/cost_weighted"``) so the cell runs through
-    the sharded tier; it subsumes the fleet layer (every shard gets its
-    own fleet controller), so the two options are mutually exclusive.
-    ``scale.num_instances`` then sizes one shard, and the workload is
-    generated for ``num_instances × clusters`` — the multicluster sweep's
-    scaling convention.
+    With ``multicluster``, ``scale.num_instances`` sizes one shard and the
+    workload is generated for ``num_instances × clusters`` — the
+    multicluster sweep's scaling convention.
     """
-    if fleet is not None and multicluster is not None:
-        raise ValueError(
-            "fleet and multicluster are mutually exclusive: the multicluster "
-            "tier builds a fleet controller per cluster shard"
-        )
-    spec = scenario if isinstance(scenario, ScenarioSpec) else get_scenario(scenario)
-    config = build_cell_config(spec, scale, seed=seed)
-    if multicluster is not None:
-        # Local imports: repro.multicluster.sweep imports this module.
-        from repro.multicluster.config import multicluster_preset
-        from repro.multicluster.sweep import run_tier
+    cell = dict(scenario=scenario, policy=policy_key, scale=scale)
+    return SCENARIO_GRID.run_cell({**cell, "fleet": fleet, "multicluster": multicluster}, seed)
 
-        config.multicluster = multicluster_preset(multicluster)
-        run = run_tier(spec, policy_key, config, scale, seed)
-        mc_result = run.result
-        return CellResult(
-            scenario=spec.name,
-            policy=policy_key,
-            policy_name=mc_result.system_name,
-            workload=run.workload_name,
-            requests=mc_result.submitted_requests,
-            finished=mc_result.finished_requests,
-            completion_ratio=mc_result.completion_ratio,
-            summary=mc_result.summary,
-            latencies=tuple((r.ttft, r.mean_tpot) for r in mc_result.records),
-            wall_s=run.wall_s,
-        )
-    policy = make_policy(policy_key)
-    workload = spec.build_workload(scale, seed)
-    if fleet is not None:
-        config.fleet = fleet_preset(fleet)
-    start = time.perf_counter()
-    system = ClusterServingSystem(config, policy)
-    result = system.run(workload)
-    wall_s = time.perf_counter() - start
-    return CellResult(
-        scenario=spec.name,
-        policy=policy_key,
-        policy_name=policy.name,
-        workload=workload.name,
-        requests=result.submitted_requests,
-        finished=result.finished_requests,
-        completion_ratio=result.completion_ratio,
-        summary=result.summary,
-        latencies=tuple((r.ttft, r.mean_tpot) for r in result.records),
-        wall_s=wall_s,
-    )
-
-
-# ----------------------------------------------------------------------
-# Sweep-engine adapter
-# ----------------------------------------------------------------------
-def run_cell_payload(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
-    """Sweep-engine runner: one scenario cell as a JSON-able payload."""
-    cell = run_cell(
-        params["scenario"],
-        params["policy"],
-        params["scale"],
-        seed,
-        params["fleet"],
-        params.get("multicluster"),
-    )
-    return dataclasses.asdict(cell)
-
-
-def _model_fingerprint(model) -> Dict[str, Any]:
-    """JSON-able content fingerprint of a ``ModelSpec``.
-
-    The full architecture, not just the name: two specs that differ only
-    in (say) layer count or KV width produce different simulation results
-    and must hash differently.
-    """
-    material = dataclasses.asdict(model)
-    material["attention"] = model.attention.value
-    material["default_parallelism"] = dataclasses.asdict(model.default_parallelism)
-    return material
-
-
-def spec_fingerprint(spec: ScenarioSpec) -> Dict[str, Any]:
-    """JSON-able content fingerprint of a scenario (part of the cache key).
-
-    Covers everything about the spec that influences a cell's result: the
-    workload factory's import path plus the serving-side knobs and the
-    full model architecture.  Code changes *inside* a factory are covered
-    by the ``repro`` version in the task hash, not here.
-    """
-    factory = spec.workload_factory
-    return {
-        "name": spec.name,
-        "factory": f"{getattr(factory, '__module__', '?')}:"
-        f"{getattr(factory, '__qualname__', repr(factory))}",
-        "model": _model_fingerprint(spec.model),
-        "gpus_per_instance": spec.gpus_per_instance,
-        "token_budget": spec.token_budget,
-        "slo_scale": spec.slo_scale,
-    }
-
-
-def scenario_cell_task(
-    spec: ScenarioSpec,
-    policy: str,
-    scale: ExperimentScale,
-    seed: int,
-    fleet: Optional[str],
-    multicluster: Optional[str] = None,
-) -> SweepTask:
-    """Describe one scenario × policy cell as a cacheable sweep task."""
-    return SweepTask(
-        runner="repro.scenarios.sweep:run_cell_payload",
-        params={
-            "scenario": spec,
-            "policy": policy,
-            "scale": scale,
-            "fleet": fleet,
-            "multicluster": multicluster,
-        },
-        key={
-            "kind": "scenario-cell",
-            "schema_version": SCHEMA_VERSION,
-            "scenario": spec_fingerprint(spec),
-            "policy": policy,
-            "scale": dataclasses.asdict(scale),
-            "fleet": fleet,
-            "multicluster": multicluster,
-        },
-        seed=seed,
-        label=f"{spec.name}/{policy}",
-    )
-
-
-def _scenario_entries(
-    spec: ScenarioSpec, cells: Sequence[Dict[str, Any]]
-) -> List[Dict]:
-    """Turn one scenario's cell payloads into schema entries with derived SLOs.
-
-    Following the paper's Figure 13 convention, the SLO reference point is
-    the best policy's P50 (TTFT and TPOT independently) *within this
-    scenario*, scaled by the scenario's ``slo_scale``.
-    """
-    records_by_policy = {
-        cell["policy"]: [LatencyRecord(t, p) for t, p in cell["latencies"]]
-        for cell in cells
-    }
-    best_ttft, best_tpot = baseline_p50(records_by_policy)
-    ttft_slo_s = spec.slo_scale * best_ttft
-    tpot_slo_s = spec.slo_scale * best_tpot
-    entries = []
-    for cell in cells:
-        violation = slo_violation_ratio(
-            records_by_policy[cell["policy"]],
-            ttft_slo_s=ttft_slo_s,
-            tpot_slo_s=tpot_slo_s,
-        )
-        summary = cell["summary"]
-        entries.append(
-            {
-                "scenario": cell["scenario"],
-                "policy": cell["policy"],
-                "policy_name": cell["policy_name"],
-                "workload": cell["workload"],
-                "requests": cell["requests"],
-                "finished": cell["finished"],
-                "completion_ratio": cell["completion_ratio"],
-                "ttft_p50": summary["ttft_p50"],
-                "ttft_p90": summary["ttft_p90"],
-                "ttft_p99": summary["ttft_p99"],
-                "tpot_p50": summary["tpot_p50"],
-                "tpot_p90": summary["tpot_p90"],
-                "tpot_p99": summary["tpot_p99"],
-                "throughput_tokens_per_s": summary["throughput_tokens_per_s"],
-                "slo_scale": spec.slo_scale,
-                "ttft_slo_s": ttft_slo_s,
-                "tpot_slo_s": tpot_slo_s,
-                "slo_violation_ratio": violation,
-                "slo_attainment": 1.0 - violation,
-                "wall_s": cell["wall_s"],
-            }
-        )
-    return entries
-
-
-def run_sweep(
-    *,
-    scenarios: Optional[Sequence[str]] = None,
-    policies: Optional[Sequence[str]] = None,
-    scale: ExperimentScale = QUICK_SWEEP_SCALE,
-    seed: int = 42,
-    max_workers: Optional[int] = None,
-    fleet: Optional[str] = None,
-    multicluster: Optional[str] = None,
-    use_cache: bool = False,
-    cache_dir: Optional[Path] = None,
-) -> Dict:
-    """Sweep the scenario × policy grid; return the results document.
-
-    Args:
-        scenarios: scenario names (default: every registered scenario).
-        policies: policy keys (``repro.policies.make_policy``) applied to
-            every scenario; ``None`` sweeps each scenario under its own
-            ``ScenarioSpec.policies`` set.
-        scale: cluster size / trace length of every cell.
-        seed: sweep seed; every cell derives its randomness from it.
-        max_workers: worker processes; ``1`` runs cells inline (no pool),
-            ``None`` sizes the pool to the grid (capped by the CPUs this
-            process may use, cgroup limits included).
-        fleet: optional fleet preset applied to every cell (the fleet
-            axis; see :func:`repro.fleet.config.fleet_preset`).  ``None``
-            keeps the classic plain-dispatcher cells.
-        multicluster: optional fleet-of-fleets preset applied to every
-            cell (see :func:`repro.multicluster.config.multicluster_preset`,
-            e.g. ``"2/locality_affinity"``); mutually exclusive with
-            ``fleet``.  ``None`` keeps single-cluster cells.
-        use_cache: serve unchanged cells from the on-disk result cache
-            and store fresh ones (the CLI enables this by default; the
-            Python API defaults to off so tests and benchmarks measure
-            real execution unless they opt in).
-        cache_dir: cache location override (default ``.repro_cache/`` at
-            the repository root, or ``$REPRO_CACHE_DIR``).
-    """
-    if fleet is not None:
-        fleet_preset(fleet)  # fail fast on unknown presets
-    if multicluster is not None:
-        if fleet is not None:
-            raise ValueError("fleet and multicluster are mutually exclusive")
-        # Local import (cycle: repro.multicluster.sweep imports this module).
-        from repro.multicluster.config import multicluster_preset
-
-        multicluster_preset(multicluster)  # fail fast on unknown presets
-    names = list(scenarios) if scenarios is not None else list_scenarios()
-    unknown = [n for n in names if n not in list_scenarios()]
-    if unknown:
-        raise KeyError(f"unknown scenarios {unknown}; known: {', '.join(list_scenarios())}")
-    if not names or (policies is not None and not policies):
-        raise ValueError("sweep needs at least one scenario and one policy")
-    if max_workers is not None and max_workers < 1:
-        raise ValueError("max_workers must be >= 1")
-    specs = [get_scenario(name) for name in names]
-    tasks = [
-        scenario_cell_task(spec, policy, scale, seed, fleet, multicluster)
-        for spec in specs
-        for policy in (policies if policies is not None else spec.policies)
-    ]
-    # Union of swept policy keys, first-seen order (for the document header).
-    policy_list = list(dict.fromkeys(task.params["policy"] for task in tasks))
-
-    cache = ResultCache(cache_dir) if use_cache else None
-    start = time.perf_counter()
-    outcome = run_tasks(tasks, max_workers=max_workers, cache=cache)
-    wall_s_total = time.perf_counter() - start
-
-    by_scenario: Dict[str, List[Dict[str, Any]]] = {name: [] for name in names}
-    for cell in outcome.results:
-        by_scenario[cell["scenario"]].append(cell)
-    entries: List[Dict] = []
-    for spec in specs:
-        entries.extend(_scenario_entries(spec, by_scenario[spec.name]))
-
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "repro_version": __version__,
-        "seed": seed,
-        "scale": {
-            "name": scale.name,
-            "num_instances": scale.num_instances,
-            "trace_duration_s": scale.trace_duration_s,
-            "drain_timeout_s": scale.drain_timeout_s,
-        },
-        "scenarios": names,
-        "policies": policy_list,
-        "fleet": fleet,
-        "multicluster": multicluster,
-        "entries": entries,
-        "cache_hits": outcome.cache_hits,
-        "cache_misses": outcome.cache_misses,
-        "wall_s_total": wall_s_total,
-    }
-
-
-def write_results(document: Dict, path: Optional[Path] = None) -> Path:
-    """Write the document to ``SCENARIO_results.json`` (repo root by default)."""
-    target = Path(path) if path is not None else DEFAULT_OUTPUT
-    target.write_text(json.dumps(document, indent=2, sort_keys=False) + "\n")
-    return target
-
-
-def format_results(document: Dict) -> str:
-    """Human-readable table of a sweep document."""
-    scale = document["scale"]
-    lines = [
-        f"repro {document['repro_version']} · scale {scale['name']} "
-        f"({scale['num_instances']} instances, {scale['trace_duration_s']:.0f}s trace) "
-        f"· seed {document['seed']} · {len(document['scenarios'])} scenarios x "
-        f"{len(document['policies'])} policies in {document['wall_s_total']:.1f}s",
-        f"{'scenario':<18} {'policy':<12} {'reqs':>6} {'fin':>6} "
-        f"{'ttft_p50':>9} {'tpot_p50':>9} {'tok/s':>8} {'slo_att':>8}",
-    ]
-    for entry in document["entries"]:
-        lines.append(
-            f"{entry['scenario']:<18} {entry['policy']:<12} "
-            f"{entry['requests']:>6d} {entry['finished']:>6d} "
-            f"{entry['ttft_p50']:>9.3f} {entry['tpot_p50']:>9.4f} "
-            f"{entry['throughput_tokens_per_s']:>8.0f} {entry['slo_attainment']:>8.2f}"
-        )
-    return "\n".join(lines)

@@ -94,8 +94,15 @@ and every intent is accounted for somewhere.
 
 from __future__ import annotations
 
-import copy
-from typing import Dict, List
+# The scale block and the wall-clock keys are shared by every sweep
+# document; they are re-exported here as part of this schema.
+from repro.sweeps.schema import (  # noqa: F401
+    SCALE_KEYS,
+    WALL_CLOCK_DOCUMENT_KEYS,
+    WALL_CLOCK_ENTRY_KEYS,
+    DocumentSchema,
+    strip_wall_clock,
+)
 
 #: Current schema version; bump only on breaking changes.
 SCHEMA_VERSION = 1
@@ -172,58 +179,12 @@ ENTRY_KEYS = (
     "wall_s",
 )
 
-#: Keys of the scale block (same as the other result schemas').
-SCALE_KEYS = ("name", "num_instances", "trace_duration_s", "drain_timeout_s")
+SCHEMA = DocumentSchema(
+    version=SCHEMA_VERSION,
+    document_keys=DOCUMENT_KEYS,
+    entry_keys=ENTRY_KEYS,
+    list_keys=("scenarios", "policies", "clients", "retries", "backpressure"),
+)
 
-#: Entry keys carrying host wall-clock (excluded from determinism checks).
-WALL_CLOCK_ENTRY_KEYS = ("wall_s",)
-
-#: Document keys carrying host-side execution accounting (wall-clock and
-#: cache hit/miss counts) — excluded from determinism checks: a warm rerun
-#: must compare equal to the cold run that populated its cache.
-WALL_CLOCK_DOCUMENT_KEYS = ("wall_s_total", "cache_hits", "cache_misses")
-
-
-def strip_wall_clock(document: Dict) -> Dict:
-    """A deep copy of ``document`` with every wall-clock key removed.
-
-    Two sweeps of the same grid and seed must compare equal after this.
-    """
-    stripped = copy.deepcopy(document)
-    for key in WALL_CLOCK_DOCUMENT_KEYS:
-        stripped.pop(key, None)
-    for entry in stripped.get("entries", []):
-        for key in WALL_CLOCK_ENTRY_KEYS:
-            entry.pop(key, None)
-    return stripped
-
-
-def validate_document(document: Dict) -> List[str]:
-    """Return a list of schema violations (empty when the document is valid)."""
-    problems: List[str] = []
-    for key in DOCUMENT_KEYS:
-        if key not in document:
-            problems.append(f"missing top-level key {key!r}")
-    if document.get("schema_version") != SCHEMA_VERSION:
-        problems.append(
-            f"schema_version is {document.get('schema_version')!r}, expected {SCHEMA_VERSION}"
-        )
-    for key in SCALE_KEYS:
-        if key not in document.get("scale", {}):
-            problems.append(f"missing scale key {key!r}")
-    for key in ("scenarios", "policies", "clients", "retries", "backpressure"):
-        if key in document and not isinstance(document[key], list):
-            problems.append(f"{key} must be a list")
-    entries = document.get("entries", [])
-    if not isinstance(entries, list):
-        problems.append("entries must be a list")
-        entries = []
-    for index, entry in enumerate(entries):
-        for key in ENTRY_KEYS:
-            if key not in entry:
-                problems.append(
-                    f"entry {index} ({entry.get('scenario')!r} x {entry.get('clients')!r} "
-                    f"x {entry.get('retry')!r} x {entry.get('backpressure')!r}) "
-                    f"missing {key!r}"
-                )
-    return problems
+#: Return a list of schema violations (empty when the document is valid).
+validate_document = SCHEMA.validate

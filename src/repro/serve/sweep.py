@@ -1,5 +1,5 @@
-"""Serve sweep (scenario × policy × clients × retry × backpressure grid),
-executed by the unified sweep engine.
+"""Serve sweep (scenario × policy × clients × retry × backpressure grid):
+the online-serving grid of the sweep engine.
 
 Every cell replays a registered scenario through a fleet-enabled serving
 system **online** — arrivals enter the loop incrementally, never
@@ -18,32 +18,21 @@ pre-scheduled — under one of two frontends:
 The admission settings are deliberately tight (shallow queues, short
 TTFT shed budget) so the default overload scenario actually sheds —
 open- vs. closed-loop and retry vs. give-up become *measured*
-differences, which is what ``tests/test_serve.py`` pins.
-
-Execution mirrors :mod:`repro.fleet.sweep` exactly: every cell is a
-:class:`~repro.sweeps.task.SweepTask` (content hash over the scenario
-fingerprint, frontend configuration, fleet config, scale, seed and
-``repro`` version), cache hits skip recomputation, misses fan out over
-the engine's shared warm worker pool, and the assembled
-``SERVE_results.json`` document is bit-identical across runs, worker
-counts, and cold vs. warm caches, modulo the ``wall_s*`` and
-cache-accounting fields.
+differences, which is what ``tests/test_serve.py`` pins.  This module
+only declares the grid (:data:`SERVE_GRID`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
-import time
-from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments.runner import ExperimentScale
 from repro.fleet.config import AdmissionConfig, make_fleet_config
 from repro.policies import make_policy
-from repro.scenarios.registry import ScenarioSpec, get_scenario, list_scenarios
-from repro.scenarios.sweep import build_cell_config, spec_fingerprint
+from repro.scenarios.registry import ScenarioSpec
+from repro.scenarios.sweep import build_cell_config
 from repro.serve.clients import ClosedLoopPopulation
 from repro.serve.config import (
     BACKPRESSURE_MODES,
@@ -53,45 +42,34 @@ from repro.serve.config import (
     list_retry_policies,
 )
 from repro.serve.gateway import OnlineGateway
-from repro.serve.schema import SCHEMA_VERSION
+from repro.serve.schema import SCHEMA
 from repro.serve.sources import workload_arrivals
 from repro.serving.system import ClusterServingSystem
-from repro.sweeps import ResultCache, SweepTask, run_tasks
-from repro.version import __version__
-from repro.workloads.slo import LatencyRecord, baseline_p50, slo_violation_ratio
+from repro.sweeps.grid import (
+    REPO_ROOT,
+    Axis,
+    CellResult,
+    CellRun,
+    Column,
+    Frontend,
+    Grid,
+    head_columns,
+    policy_axis,
+    record_latencies,
+    scenario_axis,
+    stat,
+    summary_columns,
+    sweep_scales,
+)
 
 #: The open-loop token of the ``clients`` axis; every other token is a
 #: positive integer client count (as a string, e.g. ``"16"``).
 OPEN_LOOP = "open"
 
 #: Default sweep scale; what the ``python -m repro.serve`` acceptance run uses.
-QUICK_SERVE_SCALE = ExperimentScale(
-    name="serve-quick",
-    num_instances=2,
-    trace_duration_s=30.0,
-    drain_timeout_s=30.0,
-)
-
-FULL_SERVE_SCALE = ExperimentScale(
-    name="serve-full",
-    num_instances=4,
-    trace_duration_s=90.0,
-    drain_timeout_s=60.0,
-)
-
-SERVE_SCALES: Dict[str, ExperimentScale] = {
-    "quick": QUICK_SERVE_SCALE,
-    "full": FULL_SERVE_SCALE,
-}
-
-#: Default grid axes: the open-loop baseline against one closed-loop
-#: population, crossing both retry policies with both backpressure modes
-#: on an overload scenario.
-DEFAULT_SCENARIOS: Tuple[str, ...] = ("spike-train",)
-DEFAULT_POLICIES: Tuple[str, ...] = ("vllm",)
-DEFAULT_CLIENTS: Tuple[str, ...] = (OPEN_LOOP, "64")
-DEFAULT_RETRIES: Tuple[str, ...] = ("none", "backoff")
-DEFAULT_BACKPRESSURE: Tuple[str, ...] = ("off", "on")
+SERVE_SCALES = sweep_scales("serve", full_drain_s=60.0)
+QUICK_SERVE_SCALE = SERVE_SCALES["quick"]
+FULL_SERVE_SCALE = SERVE_SCALES["full"]
 
 #: Fixed fleet configuration of every cell.  Admission is deliberately
 #: *tight* (contrast :data:`repro.fleet.sweep.SWEEP_ADMISSION`): shallow
@@ -117,7 +95,10 @@ STARTUP_WINDOW_S = 1.0
 CLOSED_HORIZON_FACTOR = 12.0
 
 #: Default output location: the repository root, next to BENCH_results.json.
-DEFAULT_OUTPUT = Path(__file__).resolve().parents[3] / "SERVE_results.json"
+DEFAULT_OUTPUT = REPO_ROOT / "SERVE_results.json"
+
+#: Client-side counters of an entry, in entry order.
+CLIENT_COUNTS = ("offered", "issued", "retries", "retry_pending", "gave_up", "client_incomplete")
 
 
 def client_population_config(clients: str, retry: str, backpressure: str) -> ClientPopulationConfig:
@@ -148,54 +129,6 @@ def _percentile(values: Sequence[float], q: float) -> Optional[float]:
     return ordered[min(rank, len(ordered)) - 1]
 
 
-@dataclasses.dataclass(frozen=True)
-class ServeCellResult:
-    """Raw outcome of one grid cell, before SLO aggregation.
-
-    ``latencies`` holds one ``(client_ttft, mean_tpot)`` pair per *intent*
-    (``(None, None)`` for abandoned / incomplete ones) so the aggregator
-    can derive cross-cell SLO baselines from client-perceived latency.
-    """
-
-    scenario: str
-    policy: str
-    policy_name: str
-    mode: str
-    clients: str
-    retry: str
-    backpressure: str
-    router: str
-    autoscaler: str
-    workload: str
-    horizon_s: float
-    offered: int
-    issued: int
-    submitted: int
-    finished: int
-    shed: int
-    retries: int
-    retry_pending: int
-    gave_up: int
-    incomplete: int
-    client_incomplete: int
-    completion_ratio: float
-    goodput_per_submitted: float
-    client_ttft_p50: Optional[float]
-    client_ttft_p90: Optional[float]
-    client_ttft_p99: Optional[float]
-    client_e2e_p50: Optional[float]
-    summary: Dict[str, float]
-    fleet_stats: Dict[str, float]
-    latencies: Tuple[Tuple[Optional[float], Optional[float]], ...]
-    wall_s: float
-    #: per-stage latency attribution (``--trace`` cells only; ``None``
-    #: when the cell ran untraced or with a disabled tracer).
-    stage_breakdown: Optional[Dict[str, Any]] = None
-    #: alert timeline block (``--alerts`` cells only; see
-    #: :mod:`repro.obs.schema`).
-    alerts: Optional[Dict[str, Any]] = None
-
-
 def normalize_clients(token: Union[str, int]) -> str:
     """Canonicalise a ``clients`` axis value ("open" or a positive count)."""
     if isinstance(token, int):
@@ -211,291 +144,6 @@ def normalize_clients(token: Union[str, int]) -> str:
     if count < 1:
         raise ValueError(f"client count must be >= 1, got {count}")
     return str(count)
-
-
-def run_serve_cell(
-    scenario: Union[str, ScenarioSpec],
-    policy_key: str,
-    clients: Union[str, int],
-    retry: str,
-    backpressure: str,
-    scale: ExperimentScale,
-    seed: int = 42,
-    trace: Union[bool, str] = False,
-    on_tracer=None,
-    alerts: bool = False,
-) -> ServeCellResult:
-    """Run one scenario online under one frontend configuration; the
-    in-process cell primitive.
-
-    ``trace=True`` attaches a :class:`repro.trace.Tracer` and fills the
-    result's ``stage_breakdown``; ``trace="disabled"`` attaches the
-    tracer with recording off — the wired-but-idle configuration the
-    ``trace_overhead`` benchmark measures.  ``on_tracer`` (if given) is
-    called with the tracer right after it attaches, so callers can keep a
-    handle for span export.
-
-    ``alerts=True`` attaches an in-memory metrics monitor (fleet source,
-    plus the client source on closed-loop cells), replays the
-    :func:`repro.obs.default_rule_pack` over the recorded scrape stream,
-    and fills the result's ``alerts`` block.
-    """
-    spec = scenario if isinstance(scenario, ScenarioSpec) else get_scenario(scenario)
-    clients = normalize_clients(clients)
-    if clients == OPEN_LOOP and (retry != "none" or backpressure != "off"):
-        raise ValueError(
-            "open-loop cells have no clients to retry or throttle; "
-            "use retry='none', backpressure='off'"
-        )
-    workload = spec.build_workload(scale, seed)
-    policy = make_policy(policy_key)
-    config = build_cell_config(spec, scale, seed=seed)
-    config.fleet = make_fleet_config(
-        router=SERVE_ROUTER, autoscaler=SERVE_AUTOSCALER, admission=SERVE_ADMISSION
-    )
-    horizon = cell_horizon_s(clients, scale)
-    start = time.perf_counter()
-    system = ClusterServingSystem(config, policy)
-    tracer = None
-    if trace:
-        tracer = system.attach_tracer(enabled=(trace != "disabled"))
-        if on_tracer is not None:
-            on_tracer(tracer)
-    chunks: List[Tuple[str, float]] = []
-    monitor = None
-    if alerts:
-        monitor = system.attach_metrics(
-            callback=lambda text, now: chunks.append((text, now))
-        )
-    if clients == OPEN_LOOP:
-        gateway = OnlineGateway(system, workload_arrivals(workload))
-        result = system.run_online([gateway], until=horizon, workload_name=workload.name)
-        fleet_stats = system.fleet.stats()
-        submitted = result.submitted_requests
-        finished = result.finished_requests
-        shed = int(fleet_stats["shed"])
-        # Open-loop accounting: one attempt per intent; every shed is
-        # abandoned on the spot (nobody is there to retry it).
-        counts = {
-            "offered": submitted,
-            "issued": submitted,
-            "retries": 0,
-            "retry_pending": 0,
-            "gave_up": shed,
-            "client_incomplete": submitted - finished - shed,
-        }
-        latencies = tuple((r.ttft, r.mean_tpot) for r in result.records)
-        client_ttfts = [r.ttft for r in result.records if r.ttft is not None]
-        client_e2es = [
-            r.e2e_latency for r in result.records if r.e2e_latency is not None
-        ]
-    else:
-        population = ClosedLoopPopulation(
-            system,
-            workload,
-            client_population_config(clients, retry, backpressure),
-            seed=seed,
-        )
-        if monitor is not None:
-            from repro.metrics import client_metrics_source
-
-            monitor.add_source(client_metrics_source(population))
-        result = system.run_online(
-            [population], until=horizon, workload_name=workload.name
-        )
-        fleet_stats = system.fleet.stats()
-        submitted = result.submitted_requests
-        finished = result.finished_requests
-        shed = int(fleet_stats["shed"])
-        stats = population.stats()
-        counts = {
-            "offered": stats["offered"],
-            "issued": stats["issued"],
-            "retries": stats["retries"],
-            "retry_pending": stats["retry_pending"],
-            "gave_up": stats["gave_up"],
-            "client_incomplete": stats["client_incomplete"],
-        }
-        latencies = population.client_latency_pairs()
-        client_ttfts = [t for t, _ in latencies if t is not None]
-        client_e2es = list(population.client_e2e_latencies())
-    wall_s = time.perf_counter() - start
-    stage_breakdown = None
-    if tracer is not None and tracer.enabled:
-        from repro.trace import LatencyAttribution
-
-        stage_breakdown = LatencyAttribution.from_tracer(tracer).stage_breakdown()
-    alerts_block = None
-    if alerts:
-        from repro.obs import evaluate_monitor_chunks
-
-        alerts_block = evaluate_monitor_chunks(chunks)
-    return ServeCellResult(
-        scenario=spec.name,
-        policy=policy_key,
-        policy_name=policy.name,
-        mode=OPEN_LOOP if clients == OPEN_LOOP else "closed",
-        clients=clients,
-        retry=retry,
-        backpressure=backpressure,
-        router=SERVE_ROUTER,
-        autoscaler=SERVE_AUTOSCALER,
-        workload=workload.name,
-        horizon_s=horizon,
-        offered=counts["offered"],
-        issued=counts["issued"],
-        submitted=submitted,
-        finished=finished,
-        shed=shed,
-        retries=counts["retries"],
-        retry_pending=counts["retry_pending"],
-        gave_up=counts["gave_up"],
-        incomplete=submitted - finished - shed,
-        client_incomplete=counts["client_incomplete"],
-        completion_ratio=result.completion_ratio,
-        goodput_per_submitted=finished / submitted if submitted else 1.0,
-        client_ttft_p50=_percentile(client_ttfts, 50),
-        client_ttft_p90=_percentile(client_ttfts, 90),
-        client_ttft_p99=_percentile(client_ttfts, 99),
-        client_e2e_p50=_percentile(client_e2es, 50),
-        summary=result.summary,
-        fleet_stats=fleet_stats,
-        latencies=latencies,
-        wall_s=wall_s,
-        stage_breakdown=stage_breakdown,
-        alerts=alerts_block,
-    )
-
-
-def stream_cell_metrics(
-    scenario: Union[str, ScenarioSpec],
-    policy_key: str,
-    clients: Union[str, int],
-    retry: str,
-    backpressure: str,
-    scale: ExperimentScale,
-    seed: int,
-    path: Path,
-    trace: bool = False,
-) -> int:
-    """Replay one cell inline with a live Prometheus metrics stream.
-
-    Same construction as :func:`run_serve_cell`, but with a
-    :class:`repro.metrics.MetricsMonitor` attached — including the
-    client-side source (active clients, retries, give-ups) for
-    closed-loop cells — streaming text scrapes to ``path``; returns the
-    number of scrapes written.  This is what ``python -m repro.serve
-    --metrics-out`` runs (uncached — the stream is the point).  With
-    ``trace=True`` a span tracer attaches and the stream additionally
-    carries the ``repro_stage_duration_seconds`` histogram.
-    """
-    spec = scenario if isinstance(scenario, ScenarioSpec) else get_scenario(scenario)
-    clients = normalize_clients(clients)
-    workload = spec.build_workload(scale, seed)
-    config = build_cell_config(spec, scale, seed=seed)
-    config.fleet = make_fleet_config(
-        router=SERVE_ROUTER, autoscaler=SERVE_AUTOSCALER, admission=SERVE_ADMISSION
-    )
-    system = ClusterServingSystem(config, make_policy(policy_key))
-    monitor = system.attach_metrics(path=path)
-    if trace:
-        from repro.metrics import trace_metrics_source
-
-        monitor.add_source(trace_metrics_source(system.attach_tracer()))
-    if clients == OPEN_LOOP:
-        frontend = OnlineGateway(system, workload_arrivals(workload))
-    else:
-        from repro.metrics import client_metrics_source
-
-        frontend = ClosedLoopPopulation(
-            system,
-            workload,
-            client_population_config(clients, retry, backpressure),
-            seed=seed,
-        )
-        monitor.add_source(client_metrics_source(frontend))
-    system.run_online(
-        [frontend], until=cell_horizon_s(clients, scale), workload_name=workload.name
-    )
-    return monitor.scrapes
-
-
-# ----------------------------------------------------------------------
-# Sweep-engine adapter
-# ----------------------------------------------------------------------
-def run_serve_cell_payload(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
-    """Sweep-engine runner: one serve cell as a JSON-able payload."""
-    cell = run_serve_cell(
-        params["scenario"],
-        params["policy"],
-        params["clients"],
-        params["retry"],
-        params["backpressure"],
-        params["scale"],
-        seed,
-        trace=params.get("trace", False),
-        alerts=params.get("alerts", False),
-    )
-    return dataclasses.asdict(cell)
-
-
-def serve_cell_task(
-    spec: ScenarioSpec,
-    policy: str,
-    clients: str,
-    retry: str,
-    backpressure: str,
-    scale: ExperimentScale,
-    seed: int,
-    trace: bool = False,
-    alerts: bool = False,
-) -> SweepTask:
-    """Describe one serve grid cell as a cacheable sweep task."""
-    fleet = make_fleet_config(
-        router=SERVE_ROUTER, autoscaler=SERVE_AUTOSCALER, admission=SERVE_ADMISSION
-    )
-    frontend: Dict[str, Any] = {"clients": clients}
-    if clients != OPEN_LOOP:
-        frontend["population"] = dataclasses.asdict(
-            client_population_config(clients, retry, backpressure)
-        )
-    params: Dict[str, Any] = {
-        "scenario": spec,
-        "policy": policy,
-        "clients": clients,
-        "retry": retry,
-        "backpressure": backpressure,
-        "scale": scale,
-    }
-    key: Dict[str, Any] = {
-        "kind": "serve-cell",
-        "schema_version": SCHEMA_VERSION,
-        "scenario": spec_fingerprint(spec),
-        "policy": policy,
-        "frontend": frontend,
-        "horizon_s": cell_horizon_s(clients, scale),
-        "fleet": {
-            **{k: v for k, v in dataclasses.asdict(fleet).items() if k != "admission"},
-            "admission": dataclasses.asdict(fleet.admission),
-        },
-        "scale": dataclasses.asdict(scale),
-    }
-    if trace:
-        # Only traced cells key on the axis: untraced cache entries stay
-        # valid (and bit-identical) whether or not tracing exists.
-        params["trace"] = True
-        key["trace"] = True
-    if alerts:
-        # Same opt-in pattern: only alert cells key on the axis.
-        params["alerts"] = True
-        key["alerts"] = True
-    return SweepTask(
-        runner="repro.serve.sweep:run_serve_cell_payload",
-        params=params,
-        key=key,
-        seed=seed,
-        label=f"{spec.name}/{policy}/{clients}/{retry}/{backpressure}",
-    )
 
 
 def serve_grid(
@@ -525,232 +173,219 @@ def serve_grid(
     return cells
 
 
-def _scenario_entries(
-    spec: ScenarioSpec, cells: Sequence[Dict[str, Any]]
-) -> List[Dict]:
-    """Turn one scenario's cell payloads into schema entries with derived SLOs.
-
-    The SLO reference point is the best cell's P50 (client-perceived TTFT
-    and TPOT independently) *within this scenario* across the whole serve
-    grid, scaled by the scenario's ``slo_scale`` — so open- and
-    closed-loop cells are graded against the same healthy-system latency,
-    and abandoned intents count as violations.
-    """
-    records_by_cell = {
-        index: [LatencyRecord(t, p) for t, p in cell["latencies"]]
-        for index, cell in enumerate(cells)
-    }
-    best_ttft, best_tpot = baseline_p50(records_by_cell)
-    ttft_slo_s = spec.slo_scale * best_ttft
-    tpot_slo_s = spec.slo_scale * best_tpot
-    entries = []
-    for index, cell in enumerate(cells):
-        violation = slo_violation_ratio(
-            records_by_cell[index], ttft_slo_s=ttft_slo_s, tpot_slo_s=tpot_slo_s
-        )
-        stats = cell["fleet_stats"]
-        summary = cell["summary"]
-        entries.append(
-            {
-                "scenario": cell["scenario"],
-                "policy": cell["policy"],
-                "policy_name": cell["policy_name"],
-                "mode": cell["mode"],
-                "clients": cell["clients"],
-                "retry": cell["retry"],
-                "backpressure": cell["backpressure"],
-                "router": cell["router"],
-                "autoscaler": cell["autoscaler"],
-                "workload": cell["workload"],
-                "horizon_s": cell["horizon_s"],
-                "offered": cell["offered"],
-                "issued": cell["issued"],
-                "submitted": cell["submitted"],
-                "finished": cell["finished"],
-                "shed": cell["shed"],
-                "retries": cell["retries"],
-                "retry_pending": cell["retry_pending"],
-                "gave_up": cell["gave_up"],
-                "incomplete": cell["incomplete"],
-                "client_incomplete": cell["client_incomplete"],
-                "completion_ratio": cell["completion_ratio"],
-                "goodput_per_submitted": cell["goodput_per_submitted"],
-                "client_ttft_p50": cell["client_ttft_p50"],
-                "client_ttft_p90": cell["client_ttft_p90"],
-                "client_ttft_p99": cell["client_ttft_p99"],
-                "client_e2e_p50": cell["client_e2e_p50"],
-                "ttft_p50": summary["ttft_p50"],
-                "ttft_p90": summary["ttft_p90"],
-                "ttft_p99": summary["ttft_p99"],
-                "tpot_p50": summary["tpot_p50"],
-                "tpot_p90": summary["tpot_p90"],
-                "tpot_p99": summary["tpot_p99"],
-                "throughput_tokens_per_s": summary["throughput_tokens_per_s"],
-                "admitted": int(stats["admitted"]),
-                "queue_peak": int(stats["queue_peak"]),
-                "slo_scale": spec.slo_scale,
-                "ttft_slo_s": ttft_slo_s,
-                "tpot_slo_s": tpot_slo_s,
-                "slo_violation_ratio": violation,
-                "slo_attainment": 1.0 - violation,
-                "wall_s": cell["wall_s"],
-            }
-        )
-        if cell.get("stage_breakdown"):
-            entries[-1]["stage_breakdown"] = cell["stage_breakdown"]
-        if cell.get("alerts"):
-            entries[-1]["alerts"] = cell["alerts"]
-    return entries
-
-
-def run_serve_sweep(
-    *,
-    scenarios: Optional[Sequence[str]] = None,
-    policies: Optional[Sequence[str]] = None,
-    clients: Optional[Sequence[Union[str, int]]] = None,
-    retries: Optional[Sequence[str]] = None,
-    backpressures: Optional[Sequence[str]] = None,
-    scale: ExperimentScale = QUICK_SERVE_SCALE,
-    seed: int = 42,
-    max_workers: Optional[int] = None,
-    use_cache: bool = False,
-    cache_dir: Optional[Path] = None,
-    trace: bool = False,
-    alerts: bool = False,
-) -> Dict:
-    """Sweep the scenario × policy × clients × retry × backpressure grid.
-
-    Args:
-        scenarios: scenario names (default: :data:`DEFAULT_SCENARIOS`).
-        policies: overload-policy keys (default: :data:`DEFAULT_POLICIES`).
-        clients: client axis — ``"open"`` and/or positive counts
-            (default: :data:`DEFAULT_CLIENTS`).
-        retries: retry-policy names (default: :data:`DEFAULT_RETRIES`).
-        backpressures: backpressure modes (default: :data:`DEFAULT_BACKPRESSURE`).
-        scale: cluster size / trace length of every cell.
-        seed: sweep seed; every cell derives its randomness from it.
-        max_workers: worker processes; ``1`` runs cells inline (no pool),
-            ``None`` sizes the pool to the grid (capped by the CPUs this
-            process may use, cgroup limits included).
-        use_cache: serve unchanged cells from the on-disk result cache
-            and store fresh ones (the CLI enables this by default; the
-            Python API defaults to off).
-        cache_dir: cache location override (default ``.repro_cache/`` at
-            the repository root, or ``$REPRO_CACHE_DIR``).
-        trace: attach a per-request span tracer to every cell and add a
-            ``stage_breakdown`` block (per-stage latency attribution) to
-            each entry.  Traced cells cache under a distinct key.
-        alerts: attach an in-memory metrics monitor to every cell,
-            replay the default alert-rule pack over its scrape stream,
-            and add an ``alerts`` block (firing/resolved timeline) to
-            each entry.  Alert cells cache under a distinct key; cells
-            without the axis stay bit-identical.
-    """
-    names = list(scenarios) if scenarios is not None else list(DEFAULT_SCENARIOS)
-    policy_keys = list(policies) if policies is not None else list(DEFAULT_POLICIES)
-    client_tokens = [
-        normalize_clients(c)
-        for c in (clients if clients is not None else DEFAULT_CLIENTS)
-    ]
-    retry_names = list(retries) if retries is not None else list(DEFAULT_RETRIES)
-    bp_names = (
-        list(backpressures) if backpressures is not None else list(DEFAULT_BACKPRESSURE)
+def _fleet_config():
+    return make_fleet_config(
+        router=SERVE_ROUTER, autoscaler=SERVE_AUTOSCALER, admission=SERVE_ADMISSION
     )
-    unknown = [n for n in names if n not in list_scenarios()]
-    if unknown:
-        raise KeyError(f"unknown scenarios {unknown}; known: {', '.join(list_scenarios())}")
-    unknown = [r for r in retry_names if r not in list_retry_policies()]
-    if unknown:
-        raise KeyError(
-            f"unknown retry policies {unknown}; known: {', '.join(list_retry_policies())}"
-        )
-    unknown = [b for b in bp_names if b not in list_backpressure_modes()]
-    if unknown:
-        raise KeyError(
-            f"unknown backpressure modes {unknown}; "
-            f"known: {', '.join(list_backpressure_modes())}"
-        )
-    if not names or not policy_keys or not client_tokens or not retry_names or not bp_names:
-        raise ValueError("the serve sweep needs at least one value on every axis")
-    if max_workers is not None and max_workers < 1:
-        raise ValueError("max_workers must be >= 1")
-    specs = {name: get_scenario(name) for name in names}
-    grid = serve_grid(names, policy_keys, client_tokens, retry_names, bp_names)
-    tasks = [
-        serve_cell_task(
-            specs[scenario], policy, token, retry, backpressure, scale, seed,
-            trace=trace, alerts=alerts,
-        )
-        for scenario, policy, token, retry, backpressure in grid
-    ]
 
-    cache = ResultCache(cache_dir) if use_cache else None
-    start = time.perf_counter()
-    outcome = run_tasks(tasks, max_workers=max_workers, cache=cache)
-    wall_s_total = time.perf_counter() - start
 
-    by_scenario: Dict[str, List[Dict[str, Any]]] = {name: [] for name in names}
-    for cell in outcome.results:
-        by_scenario[cell["scenario"]].append(cell)
-    entries: List[Dict] = []
-    for name in names:
-        entries.extend(_scenario_entries(specs[name], by_scenario[name]))
+def _build(cell: CellRun):
+    spec, scale, seed = cell.spec, cell.scale, cell.seed
+    clients = cell["clients"]
+    if clients == OPEN_LOOP and (cell["retry"] != "none" or cell["backpressure"] != "off"):
+        raise ValueError(
+            "open-loop cells have no clients to retry or throttle; "
+            "use retry='none', backpressure='off'"
+        )
+    workload = spec.build_workload(scale, seed)
+    config = build_cell_config(spec, scale, seed=seed)
+    config.fleet = _fleet_config()
+    system = ClusterServingSystem(config, make_policy(cell["policy"]))
+    horizon = cell_horizon_s(clients, scale)
+    if clients == OPEN_LOOP:
+        return system, Frontend(workload, OnlineGateway(system, workload_arrivals(workload)), horizon)
+    from repro.metrics import client_metrics_source
 
+    population = ClosedLoopPopulation(
+        system,
+        workload,
+        client_population_config(clients, cell["retry"], cell["backpressure"]),
+        seed=seed,
+    )
+    return system, Frontend(workload, population, horizon, (client_metrics_source(population),))
+
+
+def _key(cell: CellRun) -> Dict[str, Any]:
+    clients = cell["clients"]
+    frontend: Dict[str, Any] = {"clients": clients}
+    if clients != OPEN_LOOP:
+        frontend["population"] = dataclasses.asdict(
+            client_population_config(clients, cell["retry"], cell["backpressure"])
+        )
     return {
-        "schema_version": SCHEMA_VERSION,
-        "repro_version": __version__,
-        "seed": seed,
-        "scale": {
-            "name": scale.name,
-            "num_instances": scale.num_instances,
-            "trace_duration_s": scale.trace_duration_s,
-            "drain_timeout_s": scale.drain_timeout_s,
-        },
-        "scenarios": names,
-        "policies": policy_keys,
-        "clients": client_tokens,
-        "retries": retry_names,
-        "backpressure": bp_names,
-        "router": SERVE_ROUTER,
-        "autoscaler": SERVE_AUTOSCALER,
-        "trace": bool(trace),
-        # Only present when the opt-in axis was enabled: plain documents
-        # keep their pre-alerts byte shape (no schema version bump).
-        **({"alerts": True} if alerts else {}),
-        "entries": entries,
-        "cache_hits": outcome.cache_hits,
-        "cache_misses": outcome.cache_misses,
-        "wall_s_total": wall_s_total,
+        "kind": "serve-cell",
+        "frontend": frontend,
+        "horizon_s": cell_horizon_s(clients, cell.scale),
+        "fleet": dataclasses.asdict(_fleet_config()),
     }
 
 
-def write_results(document: Dict, path: Optional[Path] = None) -> Path:
-    """Write the document to ``SERVE_results.json`` (repo root by default)."""
-    target = Path(path) if path is not None else DEFAULT_OUTPUT
-    target.write_text(json.dumps(document, indent=2, sort_keys=False) + "\n")
-    return target
+def _latencies(cell: CellRun):
+    """Client-perceived ``(ttft, tpot)`` pairs, one per intent
+    (``(None, None)`` for abandoned or incomplete ones)."""
+    population = cell.frontend.online
+    if isinstance(population, ClosedLoopPopulation):
+        return population.client_latency_pairs()
+    return record_latencies(cell)
 
 
-def format_results(document: Dict) -> str:
-    """Human-readable table of a serve sweep document."""
-    scale = document["scale"]
-    lines = [
-        f"repro {document['repro_version']} · scale {scale['name']} "
-        f"({scale['num_instances']} instances, {scale['trace_duration_s']:.0f}s trace) "
-        f"· seed {document['seed']} · {len(document['entries'])} cells "
-        f"in {document['wall_s_total']:.1f}s",
-        f"{'scenario':<16} {'clients':<7} {'retry':<8} {'bp':<3} "
-        f"{'offer':>5} {'subm':>5} {'fin':>5} {'shed':>5} {'rtry':>5} "
-        f"{'gvup':>5} {'goodput':>8} {'c_ttft50':>9} {'slo_att':>8}",
-    ]
-    for entry in document["entries"]:
-        ttft = entry["client_ttft_p50"]
-        lines.append(
-            f"{entry['scenario']:<16} {entry['clients']:<7} {entry['retry']:<8} "
-            f"{entry['backpressure']:<3} {entry['offered']:>5d} {entry['submitted']:>5d} "
-            f"{entry['finished']:>5d} {entry['shed']:>5d} {entry['retries']:>5d} "
-            f"{entry['gave_up']:>5d} {entry['goodput_per_submitted']:>8.3f} "
-            f"{ttft if ttft is None else format(ttft, '9.3f')!s:>9} "
-            f"{entry['slo_attainment']:>8.2f}"
-        )
-    return "\n".join(lines)
+def _stats(cell: CellRun) -> Dict[str, Any]:
+    """Fleet counters plus the client-side accounting of the cell."""
+    stats = dict(cell.system.fleet.stats())
+    population = cell.frontend.online
+    if isinstance(population, ClosedLoopPopulation):
+        counts = population.stats()
+        e2es = list(population.client_e2e_latencies())
+    else:
+        # Open-loop accounting: one attempt per intent; every shed is
+        # abandoned on the spot (nobody is there to retry it).
+        submitted = cell.result.submitted_requests
+        shed = int(stats["shed"])
+        counts = {
+            "offered": submitted,
+            "issued": submitted,
+            "retries": 0,
+            "retry_pending": 0,
+            "gave_up": shed,
+            "client_incomplete": submitted - cell.result.finished_requests - shed,
+        }
+        e2es = [r.e2e_latency for r in cell.result.records if r.e2e_latency is not None]
+    ttfts = [ttft for ttft, _ in _latencies(cell) if ttft is not None]
+    stats.update({key: counts[key] for key in CLIENT_COUNTS})
+    stats.update(
+        client_ttft_p50=_percentile(ttfts, 50),
+        client_ttft_p90=_percentile(ttfts, 90),
+        client_ttft_p99=_percentile(ttfts, 99),
+        client_e2e_p50=_percentile(e2es, 50),
+    )
+    return stats
+
+
+def _from_stats(key: str):
+    return lambda cell: cell.stats[key]
+
+
+def _goodput(cell: CellRun) -> float:
+    submitted = cell.result.submitted_requests
+    return cell.result.finished_requests / submitted if submitted else 1.0
+
+
+SERVE_GRID = Grid(
+    name="serve",
+    runner="repro.serve.sweep:SERVE_GRID",
+    schema=SCHEMA,
+    axes=(
+        scenario_axis(("spike-train",)),
+        policy_axis(("vllm",)),
+        Axis(
+            "clients",
+            "clients",
+            default=lambda: [OPEN_LOOP, "64"],
+            convert=normalize_clients,
+            metavar="N|open",
+            help=f"client axis: 'open' and/or counts (default: {OPEN_LOOP} 64)",
+        ),
+        Axis(
+            "retry",
+            "retries",
+            default=lambda: ["none", "backoff"],
+            known=list_retry_policies,
+            noun="retry policies",
+            metavar="POLICY",
+            listing="--list-retries",
+            help="retry policies (default: none backoff)",
+        ),
+        Axis(
+            "backpressure",
+            "backpressures",
+            default=lambda: ["off", "on"],
+            known=list_backpressure_modes,
+            noun="backpressure modes",
+            metavar="MODE",
+            doc_key="backpressure",
+            flag="--backpressure",
+            listing="--list-backpressure",
+            help="backpressure modes (default: off on)",
+        ),
+    ),
+    product=serve_grid,
+    constants={"router": SERVE_ROUTER, "autoscaler": SERVE_AUTOSCALER},
+    build=_build,
+    key=_key,
+    stats=_stats,
+    latencies=_latencies,
+    columns=(
+        *head_columns("<16"),
+        Column("mode", lambda c: OPEN_LOOP if c["clients"] == OPEN_LOOP else "closed"),
+        Column("clients", fmt="<7"),
+        Column("retry", fmt="<8"),
+        Column("backpressure", fmt="<3", head="bp"),
+        Column("router", lambda c: SERVE_ROUTER),
+        Column("autoscaler", lambda c: SERVE_AUTOSCALER),
+        Column("workload", lambda c: c.frontend.workload.name),
+        Column("horizon_s", lambda c: c.frontend.horizon_s),
+        Column("offered", _from_stats("offered"), ">5d", "offer"),
+        Column("issued", _from_stats("issued")),
+        Column("submitted", lambda c: c.result.submitted_requests, ">5d", "subm"),
+        Column("finished", lambda c: c.result.finished_requests, ">5d", "fin"),
+        Column("shed", stat("shed"), ">5d"),
+        Column("retries", _from_stats("retries"), ">5d", "rtry"),
+        Column("retry_pending", _from_stats("retry_pending")),
+        Column("gave_up", _from_stats("gave_up"), ">5d", "gvup"),
+        Column(
+            "incomplete",
+            lambda c: c.result.submitted_requests - c.result.finished_requests - int(c.stats["shed"]),
+        ),
+        Column("client_incomplete", _from_stats("client_incomplete")),
+        Column("completion_ratio", lambda c: c.result.completion_ratio),
+        Column("goodput_per_submitted", _goodput, ">8.3f", "goodput"),
+        Column("client_ttft_p50", _from_stats("client_ttft_p50"), ">9.3f", "c_ttft50"),
+        Column("client_ttft_p90", _from_stats("client_ttft_p90")),
+        Column("client_ttft_p99", _from_stats("client_ttft_p99")),
+        Column("client_e2e_p50", _from_stats("client_e2e_p50")),
+        *summary_columns(),
+        Column("admitted", stat("admitted")),
+        Column("queue_peak", stat("queue_peak")),
+    ),
+    scales=SERVE_SCALES,
+    output=DEFAULT_OUTPUT,
+    description="Sweep scenarios across the online client-behaviour grid "
+    "(open- vs. closed-loop, retry policy, backpressure) in parallel and "
+    "write SERVE_results.json.",
+    observers=frozenset({"trace", "alerts", "metrics_out", "trace_out"}),
+    replay_last=True,
+)
+
+#: Sweep the scenario × policy × clients × retry × backpressure grid
+#: (keywords: ``scenarios``, ``policies``, ``clients``, ``retries``,
+#: ``backpressures``, ``trace``, ``alerts`` and the :meth:`Grid.sweep`
+#: controls).
+run_serve_sweep = SERVE_GRID.sweep
+write_results = SERVE_GRID.write_results
+format_results = SERVE_GRID.format_results
+
+
+def run_serve_cell(
+    scenario: Union[str, ScenarioSpec],
+    policy_key: str,
+    clients: Union[str, int],
+    retry: str,
+    backpressure: str,
+    scale: ExperimentScale,
+    seed: int = 42,
+    trace: Union[bool, str] = False,
+    on_tracer=None,
+    alerts: bool = False,
+) -> CellResult:
+    """Run one scenario online under one frontend configuration,
+    in-process; the cell's payload (see
+    :meth:`repro.sweeps.grid.Grid.run_cell` for ``trace``, ``on_tracer``
+    and ``alerts``)."""
+    cell = dict(scenario=scenario, policy=policy_key, clients=normalize_clients(clients))
+    return SERVE_GRID.run_cell(
+        {**cell, "retry": retry, "backpressure": backpressure, "scale": scale},
+        seed,
+        trace=trace,
+        on_tracer=on_tracer,
+        alerts=alerts,
+    )

@@ -312,6 +312,10 @@ class ClusterServingSystem:
                 spares.remove(instance)
         self.fault_manager.fail_instance(instance)
 
+    def initial_group_count(self) -> int:
+        """Serving groups alive now (read before a run: the starting fleet)."""
+        return len(self.groups)
+
     def attach_metrics(
         self,
         *,

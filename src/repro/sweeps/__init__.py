@@ -1,10 +1,14 @@
 """Unified incremental sweep engine.
 
-One execution path for every sweep subsystem: ``repro.scenarios``,
-``repro.fleet`` and ``repro.bench`` all describe their grids as
-:class:`~repro.sweeps.task.SweepTask` cells and hand them to
-:func:`~repro.sweeps.executor.run_tasks`, which serves unchanged cells
-from the content-addressed on-disk cache
+The five tier sweeps (``repro.scenarios``, ``repro.fleet``,
+``repro.multicluster``, ``repro.chaos`` and ``repro.serve``) each declare
+a :class:`~repro.sweeps.grid.Grid` — axes, a cell builder and columns —
+and share everything else: task keys, the cell runner, the opt-in
+observers, SLO aggregation, documents and the CLI
+(:func:`~repro.sweeps.cli.sweep_main`).  Grid cells and the
+``repro.bench`` rows are :class:`~repro.sweeps.task.SweepTask` cells
+handed to :func:`~repro.sweeps.executor.run_tasks`, which serves
+unchanged cells from the content-addressed on-disk cache
 (:class:`~repro.sweeps.cache.ResultCache`, ``.repro_cache/``) and fans
 the rest out over a shared warm worker pool that pre-imports the
 simulator once per worker.  See ``ARCHITECTURE.md`` ("Sweep engine") for

@@ -1,7 +1,8 @@
 """Generic sweep executor: cache lookup + shared warm worker pool.
 
-:func:`run_tasks` is the single execution path every sweep subsystem
-(``repro.scenarios``, ``repro.fleet``, ``repro.bench``) funnels through:
+:func:`run_tasks` is the single execution path every sweep funnels
+through — the five tier grids (:mod:`repro.sweeps.grid`) and the
+``repro.bench`` harness:
 
 1. Every task's content hash is checked against the
    :class:`~repro.sweeps.cache.ResultCache` (when one is supplied); hits
@@ -45,7 +46,7 @@ DEFAULT_PRELOAD: Tuple[str, ...] = (
     "repro.fleet.sweep",
     "repro.multicluster.sweep",
     "repro.chaos.sweep",
-    "repro.parallel.shard",
+    "repro.serve.sweep",
 )
 
 

@@ -94,7 +94,6 @@ class TestSchema:
             "sweep_cache",
             "trace_overhead",
             "event_core",
-            "parallel_shards",
         }
 
 

@@ -686,22 +686,24 @@ class TestFaultsAxis:
             run_fleet_sweep(faults=[], scale=TINY_SCALE, **self.GRID)
 
     def test_fault_schedule_is_part_of_the_cache_key(self):
-        from repro.fleet.sweep import fleet_cell_task
+        from repro.fleet.sweep import FLEET_GRID
         from repro.scenarios.registry import get_scenario
 
         spec = get_scenario("steady-poisson")
-        baseline = fleet_cell_task(spec, "vllm", "least_loaded", "fixed", TINY_SCALE, 2)
-        faulted = fleet_cell_task(
-            spec, "vllm", "least_loaded", "fixed", TINY_SCALE, 2, "instance-kill"
-        )
+
+        def fleet_cell_task(seed, faults="none"):
+            params = {
+                "scenario": spec, "policy": "vllm", "router": "least_loaded",
+                "autoscaler": "fixed", "faults": faults, "scale": TINY_SCALE,
+            }
+            return FLEET_GRID.task(params, seed)
+
+        baseline = fleet_cell_task(2)
+        faulted = fleet_cell_task(2, "instance-kill")
         assert baseline.key["faults"] != faulted.key["faults"]
         # churn is seed-dependent: a different seed is a different schedule.
-        churn_a = fleet_cell_task(
-            spec, "vllm", "least_loaded", "fixed", TINY_SCALE, 2, "churn"
-        )
-        churn_b = fleet_cell_task(
-            spec, "vllm", "least_loaded", "fixed", TINY_SCALE, 3, "churn"
-        )
+        churn_a = fleet_cell_task(2, "churn")
+        churn_b = fleet_cell_task(3, "churn")
         assert churn_a.key["faults"] != churn_b.key["faults"]
 
 

@@ -402,14 +402,15 @@ class TestChaosAlerts:
         )
 
     def test_cells_without_alerts_carry_no_block_and_same_cache_key(self):
-        from repro.chaos.sweep import chaos_cell_task
+        from repro.chaos.sweep import CHAOS_GRID
         from repro.scenarios.registry import get_scenario
 
-        spec = get_scenario("steady-poisson")
-        plain = chaos_cell_task(spec, "vllm", "cluster-outage", "sticky",
-                                TINY_CHAOS_SCALE, 3)
-        alerting = chaos_cell_task(spec, "vllm", "cluster-outage", "sticky",
-                                   TINY_CHAOS_SCALE, 3, alerts=True)
+        params = {
+            "scenario": get_scenario("steady-poisson"), "policy": "vllm",
+            "faults": "cluster-outage", "migration": "sticky", "scale": TINY_CHAOS_SCALE,
+        }
+        plain = CHAOS_GRID.task(params, 3)
+        alerting = CHAOS_GRID.task(params, 3, alerts=True)
         # The opt-in axis keys only the cells that use it: a plain task's
         # key (hence its cache entry) is untouched by the feature.
         assert "alerts" not in plain.key

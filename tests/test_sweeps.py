@@ -3,8 +3,10 @@
 Covers the content-hash contract of :class:`SweepTask` (config / seed /
 version sensitivity), the on-disk result cache (hit, miss, invalidation,
 corrupted-entry recovery, atomicity basics), the executor (order
-preservation, inline vs. pooled determinism, cache integration) and the
-cgroup-aware worker sizing helper.
+preservation, inline vs. pooled determinism, cache integration), the
+cgroup-aware worker sizing helper, and the declarative grids: repeated
+axis values are rejected, and a cell's ``--metrics-out`` stream equals the
+scrapes its ``--alerts`` path records.
 """
 
 from __future__ import annotations
@@ -49,6 +51,13 @@ def make_task(payload=None, seed=1, key=None):
         key=key if key is not None else {"payload": payload},
         seed=seed,
     )
+
+
+def scenario_cell_task(spec, policy, seed):
+    """One plain scenario-grid cell at :data:`TINY_SCALE`, as a sweep task."""
+    from repro.scenarios.sweep import SCENARIO_GRID
+
+    return SCENARIO_GRID.task({"scenario": spec, "policy": policy, "scale": TINY_SCALE}, seed)
 
 
 class TestBytecodeFingerprint:
@@ -258,16 +267,13 @@ class TestResultCache:
         import dataclasses as dc
 
         from repro.scenarios.registry import get_scenario
-        from repro.scenarios.sweep import scenario_cell_task
 
         spec = get_scenario("steady-poisson")
-        base = scenario_cell_task(spec, "vllm", TINY_SCALE, 1, None).content_hash()
+        base = scenario_cell_task(spec, "vllm", 1).content_hash()
         same_name_other_arch = dc.replace(
             spec, model=dc.replace(spec.model, num_layers=spec.model.num_layers + 1)
         )
-        changed = scenario_cell_task(
-            same_name_other_arch, "vllm", TINY_SCALE, 1, None
-        ).content_hash()
+        changed = scenario_cell_task(same_name_other_arch, "vllm", 1).content_hash()
         assert changed != base
 
     def test_default_dir_honours_environment(self, tmp_path, monkeypatch):
@@ -308,13 +314,9 @@ class TestExecutor:
         # Real simulator cells through the shared warm pool: same payloads
         # as inline execution, in the same order.
         from repro.scenarios.registry import get_scenario
-        from repro.scenarios.sweep import scenario_cell_task
 
         spec = get_scenario("steady-poisson")
-        tasks = [
-            scenario_cell_task(spec, policy, TINY_SCALE, 3, None)
-            for policy in ("vllm", "kunserve")
-        ]
+        tasks = [scenario_cell_task(spec, policy, 3) for policy in ("vllm", "kunserve")]
         inline = run_tasks(tasks, max_workers=1)
         pooled = run_tasks(tasks, max_workers=2)
         # wall_s and the profile block are wall-clock measurements — the
@@ -361,3 +363,125 @@ class TestWorkerSizing:
         assert executor_module._cgroup_cpu_quota() == 2  # ceil(1.5)
         readings["/sys/fs/cgroup/cpu.max"] = "max 100000"
         assert executor_module._cgroup_cpu_quota() is None
+
+
+# ----------------------------------------------------------------------
+# Declarative grids
+# ----------------------------------------------------------------------
+def resolve(reference: str):
+    """The object a ``"module:attribute"`` reference names."""
+    import importlib
+
+    module_name, _, attribute = reference.partition(":")
+    return getattr(importlib.import_module(module_name), attribute)
+
+
+TWICE = ["steady-poisson", "steady-poisson"]
+
+#: (sweep, axis keywords with one value given twice).
+REPEATED = [
+    ("repro.scenarios.sweep:run_sweep", {"scenarios": TWICE, "policies": ["vllm"]}),
+    ("repro.scenarios.sweep:run_sweep", {"scenarios": ["steady-poisson"], "policies": ["vllm", "vllm"]}),
+    (
+        "repro.fleet.sweep:run_fleet_sweep",
+        {"scenarios": TWICE, "policies": ["vllm"], "routers": ["least_loaded"], "autoscalers": ["fixed"]},
+    ),
+    (
+        "repro.fleet.sweep:run_fleet_sweep",
+        {
+            "scenarios": ["steady-poisson"], "policies": ["vllm"],
+            "routers": ["least_loaded", "least_loaded"], "autoscalers": ["fixed"],
+        },
+    ),
+    (
+        "repro.multicluster.sweep:run_multicluster_sweep",
+        {
+            "scenarios": TWICE, "policies": ["vllm"],
+            "routers": ["locality_affinity"], "placements": ["spare_capacity_first"],
+        },
+    ),
+    (
+        "repro.chaos.sweep:run_chaos_sweep",
+        {"scenarios": TWICE, "policies": ["vllm"], "faults": ["none"], "migrations": ["sticky"]},
+    ),
+    ("repro.serve.sweep:run_serve_sweep", {"scenarios": TWICE, "policies": ["vllm"], "clients": ["open"]}),
+    (
+        # "8" and 8 are the same client count once canonicalised.
+        "repro.serve.sweep:run_serve_sweep",
+        {
+            "scenarios": ["steady-poisson"], "policies": ["vllm"], "clients": ["8", 8],
+            "retries": ["none"], "backpressures": ["off"],
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("sweep,axes", REPEATED, ids=lambda v: v if isinstance(v, str) else "")
+def test_repeated_axis_values_are_rejected(sweep, axes):
+    # A repeated value used to run its cells twice and emit its entries
+    # once per copy, and the schema check accepted the result.
+    with pytest.raises(ValueError, match="repeated"):
+        resolve(sweep)(scale=TINY_SCALE, seed=1, max_workers=1, **axes)
+
+
+def test_cli_exits_2_on_a_repeated_axis_value(tmp_path):
+    from repro.fleet.__main__ import main
+
+    argv = [
+        "--scenarios", "steady-poisson", "steady-poisson", "--routers", "least_loaded",
+        "--autoscalers", "fixed", "--sequential", "--no-cache",
+        "--output", str(tmp_path / "FLEET_results.json"),
+    ]
+    assert main(argv) == 2
+    assert not (tmp_path / "FLEET_results.json").exists()
+
+
+#: (grid, cell, trace): cells whose monitors carry every kind of source —
+#: the fleet gauges, the tier counters plus the stage histogram, and the
+#: closed-loop client series.
+STREAM_CELLS = [
+    (
+        "repro.fleet.sweep:FLEET_GRID",
+        {"scenario": "spike-train", "policy": "vllm", "router": "least_loaded",
+         "autoscaler": "elastic", "faults": "none"},
+        False,
+    ),
+    (
+        "repro.chaos.sweep:CHAOS_GRID",
+        {"scenario": "steady-poisson", "policy": "vllm", "faults": "cluster-outage",
+         "migration": "migrate"},
+        True,
+    ),
+    (
+        "repro.serve.sweep:SERVE_GRID",
+        {"scenario": "spike-train", "policy": "vllm", "clients": "8", "retry": "backoff",
+         "backpressure": "on"},
+        False,
+    ),
+]
+
+
+@pytest.mark.parametrize("grid,cell,trace", STREAM_CELLS, ids=["fleet", "chaos-traced", "serve"])
+def test_metrics_stream_equals_the_alert_chunks(grid, cell, trace, tmp_path, monkeypatch):
+    # One cell builder, two sinks: the scrapes --metrics-out streams to a
+    # file are the very scrapes the --alerts path hands the alert engine.
+    import repro.obs
+    from repro.obs import scrape_stream_text
+
+    recorded = []
+    evaluate = repro.obs.evaluate_monitor_chunks
+
+    def record(chunks):
+        recorded.append(list(chunks))
+        return evaluate(chunks)
+
+    monkeypatch.setattr(repro.obs, "evaluate_monitor_chunks", record)
+    grid = resolve(grid)
+    params = {**cell, "scale": TINY_SCALE}
+    alerting = grid.run_cell(params, 3, trace=trace, alerts=True)
+    stream = tmp_path / "cell.prom"
+    streamed = grid.run_cell(params, 3, trace=trace, metrics_path=stream)
+    assert len(recorded) == 1 and recorded[0]
+    assert stream.read_text() == scrape_stream_text(recorded[0])
+    # Observers watch; they never change the cell's result.
+    assert alerting.latencies == streamed.latencies

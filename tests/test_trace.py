@@ -19,7 +19,6 @@ Pins the ISSUE acceptance criteria end-to-end on real (tiny) runs:
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
@@ -269,8 +268,8 @@ class TestOverhead:
     def test_disabled_tracer_results_identical_to_untraced(self):
         untraced = run_serve_cell(*SERVE_CELL, TINY_SCALE, 42)
         disabled = run_serve_cell(*SERVE_CELL, TINY_SCALE, 42, trace="disabled")
-        left = dataclasses.asdict(untraced)
-        right = dataclasses.asdict(disabled)
+        left = dict(untraced)
+        right = dict(disabled)
         left.pop("wall_s"), right.pop("wall_s")
         assert left == right
         assert untraced.stage_breakdown is None
