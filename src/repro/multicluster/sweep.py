@@ -109,10 +109,9 @@ def _build(cell: CellRun):
 
 
 def _cluster_count(value) -> int:
-    count = int(value)
-    if count < 1:
-        raise ValueError("cluster counts must be >= 1")
-    return count
+    if not str(value).isdigit() or int(value) < 1:
+        raise ValueError(f"cluster counts must be integers >= 1, got {value!r}")
+    return int(value)
 
 
 def _cross_cluster_ratio(cell: CellRun) -> float:
