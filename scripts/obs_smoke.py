@@ -14,8 +14,8 @@ alert engine exists to surface:
   when sessions pin to their dead cluster, so a firing under ``migrate``
   means either the simulator or the rule regressed.
 
-Stdlib-only on purpose, like ``bench_compare.py``: it runs anywhere a
-checkout exists without ``PYTHONPATH`` setup.
+Stdlib-only on purpose: it runs anywhere a checkout exists without
+``PYTHONPATH`` setup.
 """
 
 from __future__ import annotations

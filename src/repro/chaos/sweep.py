@@ -73,7 +73,7 @@ CHAOS_CLUSTER_COUNT = 2
 CHAOS_ROUTER = "locality_affinity"
 CHAOS_PLACEMENT = "spare_capacity_first"
 
-#: Default output location: the repository root, next to BENCH_results.json.
+#: Default output location: the repository root.
 DEFAULT_OUTPUT = REPO_ROOT / "CHAOS_results.json"
 
 

@@ -1,7 +1,7 @@
 """Stable schema of ``FLEET_results.json``.
 
 The fleet sweep emits one JSON document per run, mirroring the
-``BENCH_results.json`` / ``SCENARIO_results.json`` contracts: keys may be
+``SCENARIO_results.json`` contract: keys may be
 *added* in later schema versions but the keys listed here are never
 renamed or removed, and ``tests/test_fleet.py`` pins them.
 

@@ -1,8 +1,7 @@
 """Stable schema of ``MULTICLUSTER_results.json``.
 
 The multicluster sweep emits one JSON document per run, mirroring the
-``BENCH_results.json`` / ``SCENARIO_results.json`` / ``FLEET_results.json``
-contracts: keys may be *added* in later schema versions but the keys
+``SCENARIO_results.json`` / ``FLEET_results.json`` contracts: keys may be *added* in later schema versions but the keys
 listed here are never renamed or removed, and ``tests/test_multicluster.py``
 pins them.
 

@@ -62,7 +62,7 @@ SWEEP_ADMISSION = AdmissionConfig(
     ttft_shed_s=60.0,
 )
 
-#: Default output location: the repository root, next to BENCH_results.json.
+#: Default output location: the repository root.
 DEFAULT_OUTPUT = REPO_ROOT / "MULTICLUSTER_results.json"
 
 

@@ -59,7 +59,7 @@ class ClusterHandle:
     economics) is the contract new strategies can rely on.
     """
 
-    def __init__(self, index: int, system: Optional[ClusterServingSystem]) -> None:
+    def __init__(self, index: int, system: ClusterServingSystem) -> None:
         self.index = index
         self.system = system
         #: cleared by a chaos ``cluster_outage``; dead shards are invisible
@@ -161,14 +161,7 @@ def summarize_records(
 class MultiClusterSystem:
     """N cluster shards, a global router, placement, and a WAN fabric."""
 
-    def __init__(
-        self, config: ServingConfig, policy_factory: Optional[PolicyFactory]
-    ) -> None:
-        # ``policy_factory=None`` builds the tier in *plan* mode: handles
-        # are index-only stubs with no serving systems behind them, so the
-        # routing/fabric layer can be replayed standalone.  The parallel
-        # executor's dispatch planner uses this; every other caller passes
-        # a real factory.
+    def __init__(self, config: ServingConfig, policy_factory: PolicyFactory) -> None:
         if config.multicluster is None:
             raise ValueError("ServingConfig.multicluster must be set")
         self.config = config
@@ -196,9 +189,6 @@ class MultiClusterSystem:
         self._fleet_config = fleet
         self.handles: List[ClusterHandle] = []
         for index in range(self.mc.num_clusters):
-            if policy_factory is None:
-                self.handles.append(ClusterHandle(index, None))
-                continue
             # Every shard is a full serving system on the shared loop, with
             # its own RNG streams (distinct seed offset per shard) and its
             # own fleet controller built from the tier's fleet settings.
@@ -261,9 +251,8 @@ class MultiClusterSystem:
     # Topology
     # ------------------------------------------------------------------
     def shard_config(self, index: int) -> ServingConfig:
-        """The ServingConfig one shard is built from (shared with the
-        parallel executor, which must construct bit-identical shards in
-        worker processes)."""
+        """The ServingConfig shard ``index`` is built from: the tier's
+        config with the tier's fleet settings and the shard's own seed."""
         return dataclasses.replace(
             self.config,
             multicluster=None,
@@ -298,11 +287,8 @@ class MultiClusterSystem:
     def _dispatch(self, handle: ClusterHandle, request: Request) -> None:
         """Hand a routed request to its shard.
 
-        Every tier-to-shard handoff funnels through here — the healthy
-        local/remote paths, migration adoption, and WAN delivery — so the
-        parallel executor's planner can override this single method to
-        record ``(time, shard, request)`` dispatches instead of executing
-        them.
+        Every tier-to-shard handoff funnels through here: the healthy
+        local/remote paths, migration adoption, and WAN delivery.
         """
         handle.system.submit(request)
 

@@ -1,7 +1,6 @@
 """Stable schema of ``SCENARIO_results.json``.
 
-The scenario sweep runner emits one JSON document per run, mirroring the
-``BENCH_results.json`` contract (:mod:`repro.bench.schema`): keys may be
+The scenario sweep runner emits one JSON document per run: keys may be
 *added* in later schema versions but the keys listed here are never renamed
 or removed, and ``tests/test_scenarios.py`` pins them.
 

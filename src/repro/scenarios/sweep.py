@@ -52,7 +52,7 @@ SWEEP_SCALES = sweep_scales("scenarios")
 QUICK_SWEEP_SCALE = SWEEP_SCALES["quick"]
 FULL_SWEEP_SCALE = SWEEP_SCALES["full"]
 
-#: Default output location: the repository root, next to BENCH_results.json.
+#: Default output location: the repository root.
 DEFAULT_OUTPUT = REPO_ROOT / "SCENARIO_results.json"
 
 

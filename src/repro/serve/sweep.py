@@ -94,7 +94,7 @@ STARTUP_WINDOW_S = 1.0
 #: be generous enough that retry-with-backoff can drain its give-up savings.
 CLOSED_HORIZON_FACTOR = 12.0
 
-#: Default output location: the repository root, next to BENCH_results.json.
+#: Default output location: the repository root.
 DEFAULT_OUTPUT = REPO_ROOT / "SERVE_results.json"
 
 #: Client-side counters of an entry, in entry order.

@@ -347,8 +347,7 @@ class ClusterServingSystem:
     def _wire_group_tracer(self, group: ServingGroup) -> None:
         # A disabled tracer is never wired into the per-iteration hot
         # path: the group keeps ``tracer = None`` so its hook sites stay
-        # a bare ``is None`` check — the near-zero overhead the
-        # ``trace_overhead`` bench row pins.
+        # a bare ``is None`` check (near-zero overhead).
         group.tracer = self.tracer if self.tracer.enabled else None
         group.trace_track = f"cluster{self._trace_cluster}/group{group.group_id}"
 
@@ -362,8 +361,7 @@ class ClusterServingSystem:
         unattached system pays one ``is not None`` check per hook site —
         and ``enabled=False`` attaches the tracer without wiring the
         group/fabric/admission hot paths, so a disabled tracer costs the
-        same bare checks as an untraced run (the near-zero configuration
-        the ``trace_overhead`` bench row pins).
+        same bare checks as an untraced run.
 
         Pass an existing ``tracer`` to share one recorder across systems
         (the multicluster tier shares its tracer with every shard).

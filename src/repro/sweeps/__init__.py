@@ -5,10 +5,10 @@ The five tier sweeps (``repro.scenarios``, ``repro.fleet``,
 a :class:`~repro.sweeps.grid.Grid` — axes, a cell builder and columns —
 and share everything else: task keys, the cell runner, the opt-in
 observers, SLO aggregation, documents and the CLI
-(:func:`~repro.sweeps.cli.sweep_main`).  Grid cells and the
-``repro.bench`` rows are :class:`~repro.sweeps.task.SweepTask` cells
-handed to :func:`~repro.sweeps.executor.run_tasks`, which serves
-unchanged cells from the content-addressed on-disk cache
+(:func:`~repro.sweeps.cli.sweep_main`).  Grid cells are
+:class:`~repro.sweeps.task.SweepTask` cells handed to
+:func:`~repro.sweeps.executor.run_tasks`, which serves unchanged cells
+from the content-addressed on-disk cache
 (:class:`~repro.sweeps.cache.ResultCache`, ``.repro_cache/``) and fans
 the rest out over a shared warm worker pool that pre-imports the
 simulator once per worker.  See ``ARCHITECTURE.md`` ("Sweep engine") for

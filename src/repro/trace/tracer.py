@@ -8,10 +8,10 @@ pointer comparison per lifecycle event and nothing else.  An attached
 tracer constructed with ``enabled=False`` stays visible on the system but
 is **not wired into the hot per-iteration hooks** (``attach_tracer``
 skips them), so a disabled tracer costs the same bare ``is None`` checks
-as an untraced run — that near-zero configuration is what the
-``trace_overhead`` bench row pins.  Every hook also early-returns when
-``enabled`` is false, so the per-request hooks that do still fire record
-nothing.
+as an untraced run — that near-zero configuration is what
+``tests/test_trace.py`` holds to a 2 % overhead bound.  Every hook also
+early-returns when ``enabled`` is false, so the per-request hooks that do
+still fire record nothing.
 
 Recording model: hooks append lifecycle *boundaries* per request (submit,
 WAN delivery, dispatch, first execution, first token, terminal state).

@@ -266,21 +266,21 @@ class TestProfiler:
         assert block["wall_s"] > 0 and block["cpu_s"] >= 0
 
     def test_executor_attaches_profile_to_fresh_payloads(self, tmp_path):
-        from repro.sweeps import SweepTask, run_tasks
+        from repro.scenarios.registry import get_scenario
+        from repro.scenarios.sweep import SCENARIO_GRID
+        from repro.sweeps import run_tasks
         from repro.sweeps.cache import ResultCache
 
-        task = SweepTask(
-            runner="repro.bench.harness:run_experiment_payload",
-            params={
-                "scale": {
-                    "name": "obs-prof", "num_instances": 2,
-                    "trace_duration_s": 4.0, "drain_timeout_s": 4.0,
-                },
-                "experiment": "event_core",
+        task = SCENARIO_GRID.task(
+            {
+                "scenario": get_scenario("steady-poisson"),
+                "policy": "vllm",
+                "scale": ExperimentScale(
+                    name="obs-prof", num_instances=2,
+                    trace_duration_s=4.0, drain_timeout_s=4.0,
+                ),
             },
-            key={"kind": "obs-profile-test"},
-            seed=1,
-            label="event_core",
+            1,
         )
         cache = ResultCache(tmp_path)
         outcome = run_tasks([task], max_workers=1, cache=cache)
@@ -294,7 +294,7 @@ class TestProfiler:
         # ... and the roll-up sees it.
         rows = collect_profiles(tmp_path)
         assert len(rows) == 1
-        assert rows[0]["kind"] == "obs-profile-test"
+        assert rows[0]["kind"] == "scenario-cell"
         assert validate_profile_block(rows[0]["profile"]) == []
         ranked = rank_cells(rows)
         assert ranked and ranked[0]["entry"] == rows[0]["entry"]
